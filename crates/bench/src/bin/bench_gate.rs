@@ -1,8 +1,10 @@
 //! Wall-clock bench-regression gate for CI.
 //!
 //! Times a fixed set of simulator kernels with [`std::time::Instant`]
-//! (min of N iterations after one warmup — the minimum is the most
-//! layout-noise-resistant point estimate on shared runners), compares
+//! (min of N timings after one warmup — the minimum is the most
+//! layout-noise-resistant point estimate on shared runners; each timing
+//! repeats the kernel until it covers at least 50 ms and reports ms per
+//! repetition, so no kernel rounds to zero), compares
 //! each against the checked-in baseline in the `gate` section of
 //! `BENCH_parallel.json`, and exits non-zero when any kernel regresses
 //! past the tolerance. Improvements beyond the tolerance pass but are
@@ -80,9 +82,13 @@ fn run_kernel(name: &str, w: &WorkloadSpec, workloads: &[WorkloadSpec], opts: &R
     }
 }
 
-/// Times `name`: one warmup run, then the minimum of `iters` timed runs,
-/// in milliseconds. Telemetry mode and the worker pool are configured
-/// per kernel and restored afterwards.
+/// Shortest wall-clock span of one timing, in ms.
+const MIN_TIMING_MS: f64 = 50.0;
+
+/// Times `name`: one warmup run, then the minimum of `iters` timings, in
+/// milliseconds per repetition. Each timing repeats the kernel until it
+/// covers [`MIN_TIMING_MS`]. Telemetry mode and the worker pool are
+/// configured per kernel and restored afterwards.
 fn time_kernel(name: &str, iters: u32) -> f64 {
     let w = registry::by_name("605.mcf").expect("mcf");
     let workloads = bench_workloads();
@@ -109,8 +115,12 @@ fn time_kernel(name: &str, iters: u32) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..iters {
         let t = Instant::now();
-        run_kernel(name, &w, &workloads, &opts);
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
+        let mut reps = 0u32;
+        while reps == 0 || t.elapsed().as_secs_f64() * 1e3 < MIN_TIMING_MS {
+            run_kernel(name, &w, &workloads, &opts);
+            reps += 1;
+        }
+        best = best.min(t.elapsed().as_secs_f64() * 1e3 / f64::from(reps));
     }
     set_mode(Mode::Off);
     reset();
@@ -188,16 +198,21 @@ fn set_gate(root: &mut Value, gate: Value) {
 fn gate_value(tolerance_pct: f64, iters: u32, measured: &[(String, f64)]) -> Value {
     let kernels = measured
         .iter()
-        .map(|(k, ms)| (k.clone(), Value::F64((ms * 10.0).round() / 10.0)))
+        .map(|(k, ms)| {
+            // Four significant digits: microsecond kernels keep theirs.
+            let rounded = format!("{ms:.3e}").parse().unwrap_or(*ms);
+            (k.clone(), Value::F64(rounded))
+        })
         .collect();
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     Value::Object(vec![
         (
             "note".into(),
-            Value::Str(
-                "min-of-N wall-clock ms per kernel; refresh with \
+            Value::Str(format!(
+                "min-of-N wall-clock ms per kernel repetition, each timing at least \
+                 {MIN_TIMING_MS} ms; measured with nproc = {nproc}; refresh with \
                  `cargo run --release -p melody-bench --bin bench-gate -- --update`"
-                    .into(),
-            ),
+            )),
         ),
         ("tolerance_pct".into(), Value::F64(tolerance_pct)),
         ("iters".into(), Value::U64(iters as u64)),
@@ -263,12 +278,12 @@ fn main() -> ExitCode {
     let iters = iters_override.unwrap_or(baseline.iters);
 
     println!(
-        "== bench gate: min of {iters} wall-clock runs per kernel, tolerance +{tolerance:.1}% =="
+        "== bench gate: min of {iters} timings of >= {MIN_TIMING_MS} ms per kernel, ms per repetition, tolerance +{tolerance:.1}% =="
     );
     let mut measured = Vec::new();
     for name in KERNELS {
         let ms = time_kernel(name, iters);
-        println!("  timed {name:24} {ms:>10.1} ms");
+        println!("  timed {name:24} {ms:>10.4} ms");
         measured.push((name.to_string(), ms));
     }
 
@@ -297,7 +312,7 @@ fn main() -> ExitCode {
     let mut failed = false;
     for (name, ms) in &measured {
         match baseline.kernels.iter().find(|(k, _)| k == name) {
-            Some((_, base)) => {
+            Some((_, base)) if *base > 0.0 => {
                 let delta = (ms - base) / base * 100.0;
                 let status = if delta > tolerance {
                     failed = true;
@@ -307,12 +322,12 @@ fn main() -> ExitCode {
                 } else {
                     "ok"
                 };
-                println!("  {name:24} {base:>10.1} {ms:>10.1} {delta:>+7.1}%  {status}");
+                println!("  {name:24} {base:>10.4} {ms:>10.4} {delta:>+7.1}%  {status}");
             }
-            None => {
+            _ => {
                 failed = true;
                 println!(
-                    "  {name:24} {:>10} {ms:>10.1} {:>8}  NEW (no baseline; run --update)",
+                    "  {name:24} {:>10} {ms:>10.4} {:>8}  NEW (no baseline; run --update)",
                     "-", "-"
                 );
             }

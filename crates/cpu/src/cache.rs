@@ -1,27 +1,51 @@
-//! Set-associative LRU cache model.
+//! Set-associative LRU cache model with lazy functional warming.
+
+/// log2 of the rows per storage chunk (capped at the set count).
+const CHUNK_SHIFT: u32 = 8;
 
 /// A set-associative cache over 64 B lines with true-LRU replacement.
 ///
 /// Stores line numbers (address / 64). Lookups and fills are O(ways).
+///
+/// Functional warming is lazy: [`Cache::warm`] only records the warmed
+/// run of lines, and a set's storage is materialized by the first access
+/// that reaches it, replaying the recorded lines of that set with the LRU
+/// stamps an eager per-line fill would have given them. A set only ever
+/// holds its own lines, so the replay leaves exactly the tags, LRU order
+/// and dirty bits of the eager fill, while a run pays only for the sets
+/// it touches rather than for the whole capacity.
 ///
 /// # Example
 ///
 /// ```
 /// use melody_cpu::Cache;
 /// let mut l1 = Cache::new(48 * 1024, 12);
+/// l1.warm(100, 4); // lines 100..104, as if filled one by one
 /// assert!(!l1.contains(3));
 /// l1.fill(3, false);
 /// assert!(l1.probe(3));
+/// assert!(l1.probe(101));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
     sets: usize,
     ways: usize,
-    // Per way-slot: tag (line / sets) + 1, 0 = invalid.
-    tags: Vec<u64>,
-    // LRU stamp per slot; higher = more recent.
-    stamps: Vec<u64>,
-    dirty: Vec<bool>,
+    // log2(sets): a line's set is `line & (sets - 1)`, its tag base
+    // `line >> shift`.
+    shift: u32,
+    // Per set: 1 + its row, 0 = not yet materialized.
+    rows: Vec<u32>,
+    // Rows in materialization order, `1 << chunk_shift` per chunk. Chunks
+    // never move, so growth copies nothing, and there are at most `sets`
+    // rows. A row is `ways` tags ((line >> shift) + 1, 0 = invalid), then
+    // `ways` LRU words (stamp << 1 | dirty; higher = more recent). Rows
+    // fill from slot 0 and nothing invalidates, so a row's free slots are
+    // always a suffix.
+    chunks: Vec<Box<[u64]>>,
+    chunk_shift: u32,
+    used_rows: usize,
+    // Warmed runs of lines: (first line, line count, tick before the run).
+    warmed: Vec<(u64, u64, u64)>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -41,14 +65,17 @@ impl Cache {
         let lines = capacity_bytes / 64;
         assert!(lines >= ways, "capacity below one set");
         // Round the set count down to a power of two for cheap indexing.
-        let raw = lines / ways;
-        let sets = (1usize << (usize::BITS - 1 - raw.leading_zeros())).max(1);
+        let shift = (lines / ways).ilog2();
+        let sets = 1usize << shift;
         Self {
             sets,
             ways,
-            tags: vec![0; sets * ways],
-            stamps: vec![0; sets * ways],
-            dirty: vec![false; sets * ways],
+            shift,
+            rows: vec![0; sets],
+            chunks: Vec::new(),
+            chunk_shift: CHUNK_SHIFT.min(shift),
+            used_rows: 0,
+            warmed: Vec::new(),
             tick: 0,
             hits: 0,
             misses: 0,
@@ -70,91 +97,182 @@ impl Cache {
         self.sets * self.ways * 64
     }
 
+    /// Functionally warms the cache with `count` clean lines starting at
+    /// `first_line`: the cache then behaves exactly as if each line had
+    /// been passed to [`Cache::fill`] in order. O(1): the lines of a set
+    /// are placed when an access first reaches that set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache has already been accessed; warming comes
+    /// before the first `probe`, `fill`, `contains` or `mark_dirty`.
+    pub fn warm(&mut self, first_line: u64, count: u64) {
+        // Every access materializes a row, so no rows means no accesses.
+        assert!(self.used_rows == 0, "cache warmed after its first access");
+        if count > 0 {
+            self.warmed.push((first_line, count, self.tick));
+            self.tick += count;
+        }
+    }
+
+    /// `line`'s set and tag, and that set's row, materialized on first
+    /// touch.
     #[inline]
-    fn slot_range(&self, line: u64) -> (usize, u64) {
-        let set = (line as usize) & (self.sets - 1);
-        let tag = (line / self.sets as u64) + 1;
-        (set * self.ways, tag)
+    fn locate(&mut self, line: u64) -> (usize, u64, &mut [u64]) {
+        let set = line as usize & (self.sets - 1);
+        let row = match self.rows[set] {
+            0 => self.materialize(set),
+            r => r as usize - 1,
+        };
+        (set, (line >> self.shift) + 1, self.row_mut(row))
+    }
+
+    #[inline]
+    fn row_mut(&mut self, row: usize) -> &mut [u64] {
+        let len = 2 * self.ways;
+        let base = (row & ((1 << self.chunk_shift) - 1)) * len;
+        &mut self.chunks[row >> self.chunk_shift][base..base + len]
+    }
+
+    /// Allocates `set`'s row and replays, in order, the warmed lines that
+    /// map to it, each with its eager stamp `tick_before + offset + 1`.
+    #[cold]
+    fn materialize(&mut self, set: usize) -> usize {
+        let row = self.used_rows;
+        self.used_rows += 1;
+        self.rows[set] = row as u32 + 1;
+        if row >> self.chunk_shift == self.chunks.len() {
+            let chunk = vec![0; (2 * self.ways) << self.chunk_shift];
+            self.chunks.push(chunk.into_boxed_slice());
+        }
+        let (ways, sets, shift) = (self.ways as u64, self.sets as u64, self.shift);
+        let mut empty = true;
+        for k in 0..self.warmed.len() {
+            let (first, count, tick_before) = self.warmed[k];
+            // Offset of the run's first line in this set; the rest follow
+            // every `sets` lines.
+            let first_off = (set as u64).wrapping_sub(first) & (sets - 1);
+            if first_off >= count {
+                continue;
+            }
+            let n = (count - first_off - 1) / sets + 1;
+            let slots = self.row_mut(row);
+            if empty {
+                // Distinct lines filling an empty row: the j-th lands in
+                // slot j % ways and only the last `ways` survive.
+                for j in n.saturating_sub(ways)..n {
+                    let off = first_off + j * sets;
+                    let i = (j % ways) as usize;
+                    slots[i] = ((first + off) >> shift) + 1;
+                    slots[ways as usize + i] = (tick_before + off + 1) << 1;
+                }
+                empty = false;
+            } else {
+                for j in 0..n {
+                    let off = first_off + j * sets;
+                    insert(
+                        slots,
+                        ((first + off) >> shift) + 1,
+                        tick_before + off + 1,
+                        false,
+                    );
+                }
+            }
+        }
+        row
     }
 
     /// Checks for presence without touching LRU state or stats.
-    pub fn contains(&self, line: u64) -> bool {
-        let (base, tag) = self.slot_range(line);
-        self.tags[base..base + self.ways].contains(&tag)
+    pub fn contains(&mut self, line: u64) -> bool {
+        let (_, tag, row) = self.locate(line);
+        find(row, tag).is_some()
     }
 
     /// Looks up `line`, updating LRU and hit/miss stats. Returns true on
     /// hit.
     pub fn probe(&mut self, line: u64) -> bool {
-        let (base, tag) = self.slot_range(line);
         self.tick += 1;
-        for i in base..base + self.ways {
-            if self.tags[i] == tag {
-                self.stamps[i] = self.tick;
-                self.hits += 1;
-                return true;
+        let tick = self.tick;
+        let (_, tag, row) = self.locate(line);
+        let hit = match find(row, tag) {
+            Some(i) => {
+                let lru = &mut row[row.len() / 2 + i];
+                *lru = tick << 1 | (*lru & 1);
+                true
             }
+            None => false,
+        };
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
         }
-        self.misses += 1;
-        false
+        hit
     }
 
     /// Marks a present line dirty (no-op if absent). Returns whether the
     /// line was present.
     pub fn mark_dirty(&mut self, line: u64) -> bool {
-        let (base, tag) = self.slot_range(line);
-        for i in base..base + self.ways {
-            if self.tags[i] == tag {
-                self.dirty[i] = true;
-                return true;
+        let (_, tag, row) = self.locate(line);
+        match find(row, tag) {
+            Some(i) => {
+                row[row.len() / 2 + i] |= 1;
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Inserts `line`, evicting the LRU victim of its set if needed.
     /// Returns the evicted line and its dirty bit, if any.
     pub fn fill(&mut self, line: u64, dirty: bool) -> Option<(u64, bool)> {
-        let (base, tag) = self.slot_range(line);
         self.tick += 1;
-        // Already present: refresh.
-        for i in base..base + self.ways {
-            if self.tags[i] == tag {
-                self.stamps[i] = self.tick;
-                self.dirty[i] |= dirty;
-                return None;
-            }
-        }
-        // Free slot or LRU victim.
-        let mut victim = base;
-        let mut oldest = u64::MAX;
-        for i in base..base + self.ways {
-            if self.tags[i] == 0 {
-                victim = i;
-                break;
-            }
-            if self.stamps[i] < oldest {
-                oldest = self.stamps[i];
-                victim = i;
-            }
-        }
-        let evicted = if self.tags[victim] != 0 {
-            let set = base / self.ways;
-            let old_line = (self.tags[victim] - 1) * self.sets as u64 + set as u64;
-            Some((old_line, self.dirty[victim]))
-        } else {
-            None
-        };
-        self.tags[victim] = tag;
-        self.stamps[victim] = self.tick;
-        self.dirty[victim] = dirty;
-        evicted
+        let (tick, shift) = (self.tick, self.shift);
+        let (set, tag, row) = self.locate(line);
+        insert(row, tag, tick, dirty).map(|(old, d)| ((old - 1) << shift | set as u64, d))
     }
 
     /// (hits, misses) since construction.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
+}
+
+/// Slot of `tag` in `row`, if present.
+#[inline]
+fn find(row: &[u64], tag: u64) -> Option<usize> {
+    row[..row.len() / 2].iter().position(|&t| t == tag)
+}
+
+/// Fills `tag` into `row` with LRU stamp `stamp` in one pass over the
+/// ways: refreshes it if present, else takes the first free slot or
+/// evicts the LRU victim. Returns the evicted tag and its dirty bit.
+#[inline]
+fn insert(row: &mut [u64], tag: u64, stamp: u64, dirty: bool) -> Option<(u64, bool)> {
+    let (tags, lru) = row.split_at_mut(row.len() / 2);
+    let mut victim = 0;
+    let mut oldest = u64::MAX;
+    for i in 0..tags.len() {
+        if tags[i] == tag {
+            lru[i] = stamp << 1 | (lru[i] & 1) | dirty as u64;
+            return None;
+        }
+        if tags[i] == 0 {
+            // Free slots are a suffix: the tag cannot appear later.
+            victim = i;
+            break;
+        }
+        // Stamps are unique, so the dirty bit never decides the order.
+        if lru[i] < oldest {
+            oldest = lru[i];
+            victim = i;
+        }
+    }
+    let old = tags[victim];
+    let evicted = (old != 0).then(|| (old, lru[victim] & 1 == 1));
+    tags[victim] = tag;
+    lru[victim] = stamp << 1 | dirty as u64;
+    evicted
 }
 
 #[cfg(test)]
@@ -224,6 +342,25 @@ mod tests {
         for line in 0..4 {
             assert!(c.contains(line), "line {line} evicted unexpectedly");
         }
+    }
+
+    #[test]
+    fn warm_keeps_the_most_recent_lines_in_lru_order() {
+        let mut c = Cache::new(64 * 8, 2); // 4 sets, 2 ways
+        c.warm(0, 12); // set 0 sees lines 0, 4, 8: only 4 and 8 survive
+        assert!(!c.contains(0));
+        // 4 is the LRU line of set 0, so the next fill evicts it.
+        assert_eq!(c.fill(12, false), Some((4, false)));
+        assert!(c.probe(8));
+        assert_eq!(c.stats(), (1, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "cache warmed after its first access")]
+    fn warm_after_access_panics() {
+        let mut c = Cache::new(4096, 4);
+        c.contains(1);
+        c.warm(0, 8);
     }
 
     #[test]

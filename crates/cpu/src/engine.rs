@@ -368,21 +368,17 @@ impl Core {
     /// region for skewed patterns, the tail of the working set for
     /// streams (so a sequential walk still misses, as it does in steady
     /// state).
+    ///
+    /// O(1) per range: each level records the range and materializes a
+    /// set's warmed lines when the run first reaches it (see [`Cache`]).
+    /// `Core::run` consumes the core, so warming always precedes the
+    /// first access.
     pub fn warm(&mut self, start_byte: u64, end_byte: u64) {
         let start = start_byte / 64;
-        let end = (end_byte / 64).max(start);
-        let span = end - start;
-        let l3_lines = (self.l3.capacity_bytes() / 64) as u64;
-        for line in start..start + span.min(l3_lines) {
-            self.l3.fill(line, false);
-        }
-        let l2_lines = (self.l2.capacity_bytes() / 64) as u64;
-        for line in start..start + span.min(l2_lines) {
-            self.l2.fill(line, false);
-        }
-        let l1_lines = (self.l1.capacity_bytes() / 64) as u64;
-        for line in start..start + span.min(l1_lines) {
-            self.l1.fill(line, false);
+        let span = (end_byte / 64).saturating_sub(start);
+        for cache in [&mut self.l3, &mut self.l2, &mut self.l1] {
+            let lines = (cache.capacity_bytes() / 64) as u64;
+            cache.warm(start, span.min(lines));
         }
     }
 

@@ -34,11 +34,14 @@ fn parse_args() -> (Vec<String>, Scale, bool) {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--scale" => {
-                scale = match args.next().as_deref() {
-                    Some("quick") => Scale::Quick,
-                    Some("full") => Scale::Full,
-                    _ => Scale::Smoke,
-                }
+                scale = args
+                    .next()
+                    .as_deref()
+                    .and_then(Scale::parse)
+                    .unwrap_or_else(|| {
+                        eprintln!("--scale expects smoke|quick|full");
+                        std::process::exit(2);
+                    });
             }
             "--json" => json = true,
             "--telemetry" => {

@@ -112,6 +112,14 @@ fn flag_u64(args: &[String], name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
+/// The `--scale` flag (`smoke` when absent); an unknown scale exits 2.
+fn scale_flag(args: &[String]) -> Scale {
+    Scale::resolve(flag(args, "--scale").as_deref()).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
+
 /// Attaches the `--faults <regime>` fault-injection regime to a device
 /// spec, if requested. An inert regime (`none`) leaves the spec
 /// untouched so output stays byte-identical to a fault-free build.
@@ -1044,15 +1052,7 @@ fn cmd_degraded(args: &[String]) {
     use melody::experiments::degraded;
     use melody::journal::Journal;
 
-    let scale = match flag(args, "--scale").as_deref() {
-        None | Some("smoke") => Scale::Smoke,
-        Some("quick") => Scale::Quick,
-        Some("full") => Scale::Full,
-        Some(other) => {
-            eprintln!("unknown scale `{other}` (smoke|quick|full)");
-            std::process::exit(2);
-        }
-    };
+    let scale = scale_flag(args);
     let resume = args.iter().any(|a| a == "--resume");
     let mut journal = match flag(args, "--journal") {
         Some(path) => {
@@ -1119,15 +1119,7 @@ fn cmd_degraded(args: &[String]) {
 fn cmd_tiering(args: &[String]) {
     use melody::experiments::tiering;
 
-    let scale = match flag(args, "--scale").as_deref() {
-        None | Some("smoke") => Scale::Smoke,
-        Some("quick") => Scale::Quick,
-        Some("full") => Scale::Full,
-        Some(other) => {
-            eprintln!("unknown scale `{other}` (smoke|quick|full)");
-            std::process::exit(2);
-        }
-    };
+    let scale = scale_flag(args);
     let data = tiering::run(scale);
     if args.iter().any(|a| a == "--json") {
         println!(

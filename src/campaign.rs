@@ -252,12 +252,7 @@ impl CampaignSpec {
 
     /// The effective scale (`smoke` when unset).
     pub fn effective_scale(&self) -> Result<Scale, String> {
-        match self.scale.as_deref() {
-            None | Some("smoke") => Ok(Scale::Smoke),
-            Some("quick") => Ok(Scale::Quick),
-            Some("full") => Ok(Scale::Full),
-            Some(other) => Err(format!("unknown scale `{other}` (smoke|quick|full)")),
-        }
+        Scale::resolve(self.scale.as_deref())
     }
 
     /// Expands the grid into fully-resolved cells, in deterministic

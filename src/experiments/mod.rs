@@ -38,6 +38,24 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// Parses a scale name: `smoke`, `quick` or `full`.
+    pub fn parse(name: &str) -> Option<Scale> {
+        match name {
+            "smoke" => Some(Scale::Smoke),
+            "quick" => Some(Scale::Quick),
+            "full" => Some(Scale::Full),
+            _ => None,
+        }
+    }
+
+    /// Resolves an optional scale name: `smoke` when absent, an error
+    /// listing the valid names when unknown.
+    pub fn resolve(name: Option<&str>) -> Result<Scale, String> {
+        name.map_or(Ok(Scale::Smoke), |n| {
+            Scale::parse(n).ok_or_else(|| format!("unknown scale `{n}` (smoke|quick|full)"))
+        })
+    }
+
     /// Memory references per workload run.
     pub fn mem_refs(self) -> u64 {
         match self {
@@ -129,6 +147,19 @@ mod tests {
         assert!(Scale::Smoke.mem_refs() < Scale::Quick.mem_refs());
         assert!(Scale::Quick.mem_refs() < Scale::Full.mem_refs());
         assert_eq!(Scale::Full.grid_workloads(), 265);
+    }
+
+    #[test]
+    fn scale_names_parse() {
+        assert_eq!(Scale::parse("smoke"), Some(Scale::Smoke));
+        assert_eq!(Scale::parse("quick"), Some(Scale::Quick));
+        assert_eq!(Scale::parse("full"), Some(Scale::Full));
+        for bad in ["", "bogus", "Quick", " full"] {
+            assert_eq!(Scale::parse(bad), None, "{bad:?}");
+        }
+        assert_eq!(Scale::resolve(None), Ok(Scale::Smoke));
+        let err = Scale::resolve(Some("bogus")).unwrap_err();
+        assert!(err.contains("smoke|quick|full"), "{err}");
     }
 
     #[test]

@@ -82,6 +82,18 @@ fn diff_still_reports_missing_files_with_exit_2() {
 }
 
 #[test]
+fn unknown_scale_exits_2_listing_the_scales() {
+    let out = melody()
+        .args(["tiering", "--scale", "bogus"])
+        .output()
+        .expect("run melody");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing simulated");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("smoke|quick|full"), "{stderr}");
+}
+
+#[test]
 fn report_rejects_directories_with_exit_2() {
     let dir = tmp("report-dir");
     std::fs::create_dir_all(&dir).expect("mkdir");
