@@ -3,17 +3,22 @@
 /// log2 of the rows per storage chunk (capped at the set count).
 const CHUNK_SHIFT: u32 = 8;
 
+/// Dirty flag of a row slot. Tags of lines of 64-bit byte addresses stay
+/// below 2^58, so the bit is free.
+const DIRTY: u64 = 1 << 63;
+
 /// A set-associative cache over 64 B lines with true-LRU replacement.
 ///
 /// Stores line numbers (address / 64). Lookups and fills are O(ways).
+/// Each set keeps its ways in recency order, so a hit moves its line to
+/// the front and a miss evicts the last one.
 ///
 /// Functional warming is lazy: [`Cache::warm`] only records the warmed
 /// run of lines, and a set's storage is materialized by the first access
-/// that reaches it, replaying the recorded lines of that set with the LRU
-/// stamps an eager per-line fill would have given them. A set only ever
-/// holds its own lines, so the replay leaves exactly the tags, LRU order
-/// and dirty bits of the eager fill, while a run pays only for the sets
-/// it touches rather than for the whole capacity.
+/// that reaches it, replaying the recorded lines of that set in order. A
+/// set only ever holds its own lines, so the replay leaves exactly the
+/// tags, LRU order and dirty bits of an eager per-line fill, while a run
+/// pays only for the sets it touches rather than for the whole capacity.
 ///
 /// # Example
 ///
@@ -37,16 +42,14 @@ pub struct Cache {
     rows: Vec<u32>,
     // Rows in materialization order, `1 << chunk_shift` per chunk. Chunks
     // never move, so growth copies nothing, and there are at most `sets`
-    // rows. A row is `ways` tags ((line >> shift) + 1, 0 = invalid), then
-    // `ways` LRU words (stamp << 1 | dirty; higher = more recent). Rows
-    // fill from slot 0 and nothing invalidates, so a row's free slots are
-    // always a suffix.
+    // rows. A row is `ways` slots, most recently used first; a slot is a
+    // tag ((line >> shift) + 1, 0 = free) with the `DIRTY` bit. Nothing
+    // invalidates, so a row's free slots are always a suffix.
     chunks: Vec<Box<[u64]>>,
     chunk_shift: u32,
     used_rows: usize,
-    // Warmed runs of lines: (first line, line count, tick before the run).
-    warmed: Vec<(u64, u64, u64)>,
-    tick: u64,
+    // Warmed runs of lines: (first line, line count).
+    warmed: Vec<(u64, u64)>,
     hits: u64,
     misses: u64,
 }
@@ -76,7 +79,6 @@ impl Cache {
             chunk_shift: CHUNK_SHIFT.min(shift),
             used_rows: 0,
             warmed: Vec::new(),
-            tick: 0,
             hits: 0,
             misses: 0,
         }
@@ -110,8 +112,7 @@ impl Cache {
         // Every access materializes a row, so no rows means no accesses.
         assert!(self.used_rows == 0, "cache warmed after its first access");
         if count > 0 {
-            self.warmed.push((first_line, count, self.tick));
-            self.tick += count;
+            self.warmed.push((first_line, count));
         }
     }
 
@@ -124,31 +125,33 @@ impl Cache {
             0 => self.materialize(set),
             r => r as usize - 1,
         };
-        (set, (line >> self.shift) + 1, self.row_mut(row))
+        let tag = (line >> self.shift) + 1;
+        debug_assert!(tag & DIRTY == 0, "line {line} collides with the dirty bit");
+        (set, tag, self.row_mut(row))
     }
 
     #[inline]
     fn row_mut(&mut self, row: usize) -> &mut [u64] {
-        let len = 2 * self.ways;
-        let base = (row & ((1 << self.chunk_shift) - 1)) * len;
-        &mut self.chunks[row >> self.chunk_shift][base..base + len]
+        let ways = self.ways;
+        let base = (row & ((1 << self.chunk_shift) - 1)) * ways;
+        &mut self.chunks[row >> self.chunk_shift][base..base + ways]
     }
 
     /// Allocates `set`'s row and replays, in order, the warmed lines that
-    /// map to it, each with its eager stamp `tick_before + offset + 1`.
+    /// map to it.
     #[cold]
     fn materialize(&mut self, set: usize) -> usize {
         let row = self.used_rows;
         self.used_rows += 1;
         self.rows[set] = row as u32 + 1;
         if row >> self.chunk_shift == self.chunks.len() {
-            let chunk = vec![0; (2 * self.ways) << self.chunk_shift];
+            let chunk = vec![0; self.ways << self.chunk_shift];
             self.chunks.push(chunk.into_boxed_slice());
         }
         let (ways, sets, shift) = (self.ways as u64, self.sets as u64, self.shift);
         let mut empty = true;
         for k in 0..self.warmed.len() {
-            let (first, count, tick_before) = self.warmed[k];
+            let (first, count) = self.warmed[k];
             // Offset of the run's first line in this set; the rest follow
             // every `sets` lines.
             let first_off = (set as u64).wrapping_sub(first) & (sets - 1);
@@ -156,26 +159,19 @@ impl Cache {
                 continue;
             }
             let n = (count - first_off - 1) / sets + 1;
+            let tag = |j: u64| ((first + first_off + j * sets) >> shift) + 1;
             let slots = self.row_mut(row);
-            if empty {
-                // Distinct lines filling an empty row: the j-th lands in
-                // slot j % ways and only the last `ways` survive.
-                for j in n.saturating_sub(ways)..n {
-                    let off = first_off + j * sets;
-                    let i = (j % ways) as usize;
-                    slots[i] = ((first + off) >> shift) + 1;
-                    slots[ways as usize + i] = (tick_before + off + 1) << 1;
+            if empty || n >= ways {
+                // Distinct clean lines filled into an empty row, or
+                // `ways` or more of them into any warmed row: the last
+                // `ways` remain, the most recent first.
+                for (i, slot) in slots.iter_mut().take(n as usize).enumerate() {
+                    *slot = tag(n - 1 - i as u64);
                 }
                 empty = false;
             } else {
                 for j in 0..n {
-                    let off = first_off + j * sets;
-                    insert(
-                        slots,
-                        ((first + off) >> shift) + 1,
-                        tick_before + off + 1,
-                        false,
-                    );
+                    insert(slots, tag(j), 0);
                 }
             }
         }
@@ -191,13 +187,10 @@ impl Cache {
     /// Looks up `line`, updating LRU and hit/miss stats. Returns true on
     /// hit.
     pub fn probe(&mut self, line: u64) -> bool {
-        self.tick += 1;
-        let tick = self.tick;
         let (_, tag, row) = self.locate(line);
         let hit = match find(row, tag) {
             Some(i) => {
-                let lru = &mut row[row.len() / 2 + i];
-                *lru = tick << 1 | (*lru & 1);
+                to_front(row, i, row[i]);
                 true
             }
             None => false,
@@ -216,7 +209,7 @@ impl Cache {
         let (_, tag, row) = self.locate(line);
         match find(row, tag) {
             Some(i) => {
-                row[row.len() / 2 + i] |= 1;
+                row[i] |= DIRTY;
                 true
             }
             None => false,
@@ -226,10 +219,13 @@ impl Cache {
     /// Inserts `line`, evicting the LRU victim of its set if needed.
     /// Returns the evicted line and its dirty bit, if any.
     pub fn fill(&mut self, line: u64, dirty: bool) -> Option<(u64, bool)> {
-        self.tick += 1;
-        let (tick, shift) = (self.tick, self.shift);
+        let shift = self.shift;
         let (set, tag, row) = self.locate(line);
-        insert(row, tag, tick, dirty).map(|(old, d)| ((old - 1) << shift | set as u64, d))
+        let dirty = if dirty { DIRTY } else { 0 };
+        insert(row, tag, dirty).map(|old| {
+            let old_line = ((old & !DIRTY) - 1) << shift | set as u64;
+            (old_line, old & DIRTY != 0)
+        })
     }
 
     /// (hits, misses) since construction.
@@ -241,38 +237,38 @@ impl Cache {
 /// Slot of `tag` in `row`, if present.
 #[inline]
 fn find(row: &[u64], tag: u64) -> Option<usize> {
-    row[..row.len() / 2].iter().position(|&t| t == tag)
+    row.iter().position(|&s| s & !DIRTY == tag)
 }
 
-/// Fills `tag` into `row` with LRU stamp `stamp` in one pass over the
-/// ways: refreshes it if present, else takes the first free slot or
-/// evicts the LRU victim. Returns the evicted tag and its dirty bit.
+/// Moves slot `i` of `row` to the front as `slot`, shifting the more
+/// recent ones back by one.
 #[inline]
-fn insert(row: &mut [u64], tag: u64, stamp: u64, dirty: bool) -> Option<(u64, bool)> {
-    let (tags, lru) = row.split_at_mut(row.len() / 2);
-    let mut victim = 0;
-    let mut oldest = u64::MAX;
-    for i in 0..tags.len() {
-        if tags[i] == tag {
-            lru[i] = stamp << 1 | (lru[i] & 1) | dirty as u64;
+fn to_front(row: &mut [u64], i: usize, slot: u64) {
+    row.copy_within(..i, 1);
+    row[0] = slot;
+}
+
+/// Fills `tag` into `row` as its most recent line in one pass over the
+/// ways: ORs `dirty` into it if present, else takes the first free slot
+/// or evicts the last one. Returns the evicted slot.
+#[inline]
+fn insert(row: &mut [u64], tag: u64, dirty: u64) -> Option<u64> {
+    for i in 0..row.len() {
+        let s = row[i];
+        if s & !DIRTY == tag {
+            to_front(row, i, s | dirty);
             return None;
         }
-        if tags[i] == 0 {
+        if s == 0 {
             // Free slots are a suffix: the tag cannot appear later.
-            victim = i;
-            break;
-        }
-        // Stamps are unique, so the dirty bit never decides the order.
-        if lru[i] < oldest {
-            oldest = lru[i];
-            victim = i;
+            to_front(row, i, tag | dirty);
+            return None;
         }
     }
-    let old = tags[victim];
-    let evicted = (old != 0).then(|| (old, lru[victim] & 1 == 1));
-    tags[victim] = tag;
-    lru[victim] = stamp << 1 | dirty as u64;
-    evicted
+    let last = row.len() - 1;
+    let old = row[last];
+    to_front(row, last, tag | dirty);
+    Some(old)
 }
 
 #[cfg(test)]

@@ -121,6 +121,14 @@ impl MemoryDevice for CpmuDevice {
     fn fast_forward(&mut self, now: melody_sim::SimTime) {
         self.inner.fast_forward(now);
     }
+
+    fn wants_slot_observations(&self) -> bool {
+        self.inner.wants_slot_observations()
+    }
+
+    fn observe_slot(&mut self, addr: u64, is_store: bool, now: melody_sim::SimTime) {
+        self.inner.observe_slot(addr, is_store, now);
+    }
 }
 
 impl std::fmt::Debug for CpmuDevice {

@@ -159,8 +159,10 @@ pub trait MemoryDevice {
     /// for *every* executed memory reference, not just the cache misses
     /// that reach [`MemoryDevice::access`]. The CPU engine caches this
     /// answer once per run and taps its load/store stream only when it
-    /// is `true`, so ordinary devices pay nothing. Only the outermost
-    /// device of a composite is asked.
+    /// is `true`, so ordinary devices pay nothing. A composite device
+    /// wants them when any of its children does, and routes each
+    /// observed address to the child (and local address) its `access`
+    /// would use.
     fn wants_slot_observations(&self) -> bool {
         false
     }

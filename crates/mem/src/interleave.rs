@@ -107,6 +107,16 @@ impl MemoryDevice for InterleavedDevice {
             p.fast_forward(now);
         }
     }
+
+    fn wants_slot_observations(&self) -> bool {
+        self.parts.iter().any(|p| p.wants_slot_observations())
+    }
+
+    fn observe_slot(&mut self, addr: u64, is_store: bool, now: melody_sim::SimTime) {
+        let ways = self.parts.len();
+        let local = local_addr(addr, self.granularity, ways);
+        self.parts[route(addr, self.granularity, ways)].observe_slot(local, is_store, now);
+    }
 }
 
 impl std::fmt::Debug for InterleavedDevice {

@@ -84,6 +84,18 @@ impl MemoryDevice for SplitDevice {
         self.fast.fast_forward(now);
         self.slow.fast_forward(now);
     }
+
+    fn wants_slot_observations(&self) -> bool {
+        self.fast.wants_slot_observations() || self.slow.wants_slot_observations()
+    }
+
+    fn observe_slot(&mut self, addr: u64, is_store: bool, now: melody_sim::SimTime) {
+        if addr < self.boundary {
+            self.fast.observe_slot(addr, is_store, now);
+        } else {
+            self.slow.observe_slot(addr - self.boundary, is_store, now);
+        }
+    }
 }
 
 impl std::fmt::Debug for SplitDevice {

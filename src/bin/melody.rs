@@ -106,10 +106,23 @@ fn flag(args: &[String], name: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// The value of flag `name` parsed as a `T`, `None` when the flag is
+/// absent. A value that does not parse exits 2 naming the flag and the
+/// `kind` of value it expects.
+fn flag_parse<T: std::str::FromStr>(args: &[String], name: &str, kind: &str) -> Option<T> {
+    let v = flag(args, name)?;
+    Some(v.parse().unwrap_or_else(|_| {
+        eprintln!("{name} expects {kind}, got {v}");
+        std::process::exit(2);
+    }))
+}
+
 fn flag_u64(args: &[String], name: &str, default: u64) -> u64 {
-    flag(args, name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    flag_parse(args, name, "an integer").unwrap_or(default)
+}
+
+fn flag_f64(args: &[String], name: &str) -> Option<f64> {
+    flag_parse(args, name, "a number")
 }
 
 /// The `--scale` flag (`smoke` when absent); an unknown scale exits 2.
@@ -160,10 +173,10 @@ fn apply_policy(spec: DeviceSpec, args: &[String], local: &DeviceSpec) -> Device
         return spec;
     }
     let mut tc = TieringConfig::new(kind);
-    if let Some(p) = flag(args, "--page-bytes").and_then(|v| v.parse().ok()) {
+    if let Some(p) = flag_parse(args, "--page-bytes", "an integer") {
         tc.page_bytes = p;
     }
-    if let Some(b) = flag(args, "--migrate-budget-gbps").and_then(|v| v.parse().ok()) {
+    if let Some(b) = flag_f64(args, "--migrate-budget-gbps") {
         tc.migrate_budget_gbps = b;
     }
     if let Err(e) = tc.validate() {
@@ -586,9 +599,7 @@ fn cmd_mlc(args: &[String]) {
         usage()
     };
     let spec = apply_faults(spec, args);
-    let read_frac = flag(args, "--rw")
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(1.0);
+    let read_frac = flag_f64(args, "--rw").unwrap_or(1.0);
     let cfg = MlcConfig {
         read_frac,
         delay_cycles: flag_u64(args, "--delay", 0),
@@ -788,12 +799,8 @@ fn cmd_diff(args: &[String]) {
     let a = read(path_a);
     let b = read(path_b);
     let opts = melody_insight::DiffOptions {
-        rel_tol: flag(args, "--rel-tol")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.0),
-        abs_tol: flag(args, "--abs-tol")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.0),
+        rel_tol: flag_f64(args, "--rel-tol").unwrap_or(0.0),
+        abs_tol: flag_f64(args, "--abs-tol").unwrap_or(0.0),
     };
     let verdict = melody_insight::diff_values(&a, &b, &opts);
     if args.iter().any(|x| x == "--json") {
@@ -927,10 +934,10 @@ fn cmd_campaign(args: &[String]) {
     if let Some(p) = flag(args, "--policy") {
         spec.policies.push(p);
     }
-    if let Some(p) = flag(args, "--page-bytes").and_then(|v| v.parse().ok()) {
+    if let Some(p) = flag_parse(args, "--page-bytes", "an integer") {
         spec.page_bytes = Some(p);
     }
-    if let Some(b) = flag(args, "--migrate-budget-gbps").and_then(|v| v.parse().ok()) {
+    if let Some(b) = flag_f64(args, "--migrate-budget-gbps") {
         spec.migrate_budget_gbps = Some(b);
     }
     let shard = match flag(args, "--shard") {
@@ -1075,7 +1082,7 @@ fn cmd_degraded(args: &[String]) {
         }
     };
     warn_torn_journal(&journal, resume);
-    let limit = flag(args, "--limit").and_then(|v| v.parse::<usize>().ok());
+    let limit = flag_parse(args, "--limit", "an integer");
     let report = degraded::run_with(
         scale,
         &degraded::standard_cells(),

@@ -210,6 +210,60 @@ fn lazy_warming_matches_eager_fill() {
 }
 
 #[test]
+fn hot_sets_match_eager_fill() {
+    // One or two sets of every associativity, hammered over about three
+    // times their lines: hits move lines to the front, refills refresh
+    // the last slot, and dirty bits must survive every move and come
+    // back with the eviction that takes them.
+    for case in 0..iters(64) {
+        let mut rng = SimRng::seed_from(0x407 ^ case);
+        let ways = 1 + (case % 16) as usize;
+        let sets = 1 + (case / 16 % 2) as usize;
+        let capacity = sets * ways * 64 + rng.below(64) as usize;
+        let mut lazy = Cache::new(capacity, ways);
+        let mut eager = EagerCache::new(capacity, ways);
+        assert_eq!(lazy.sets(), sets, "case {case}: set count");
+        let universe = 3 * (sets * ways) as u64;
+
+        // 1-3 warm runs, each starting inside the previous one.
+        let (mut start, mut count) = (rng.below(universe), 0);
+        for _ in 0..1 + rng.below(3) {
+            start += rng.below(count + 1);
+            count = rng.below(universe + 1);
+            lazy.warm(start, count);
+            eager.warm(start, count);
+        }
+
+        for step in 0..2_000 {
+            let line = rng.below(universe);
+            let ctx = format!("case {case} ({sets}x{ways}) step {step} line {line}");
+            match rng.below(4) {
+                0 => assert_eq!(lazy.probe(line), eager.probe(line), "probe, {ctx}"),
+                1 => {
+                    let dirty = rng.chance(0.3);
+                    assert_eq!(
+                        lazy.fill(line, dirty),
+                        eager.fill(line, dirty),
+                        "fill, {ctx}"
+                    );
+                }
+                2 => assert_eq!(
+                    lazy.mark_dirty(line),
+                    eager.mark_dirty(line),
+                    "mark_dirty, {ctx}"
+                ),
+                _ => assert_eq!(lazy.contains(line), eager.contains(line), "contains, {ctx}"),
+            }
+        }
+        assert_eq!(
+            lazy.stats(),
+            (eager.hits, eager.misses),
+            "case {case}: stats"
+        );
+    }
+}
+
+#[test]
 fn full_capacity_warm_of_a_large_cache_matches_eager_fill() {
     // An LLC-sized geometry warmed the way the core warms it: a range
     // clamped to capacity from an unaligned base, then a smaller hot

@@ -441,3 +441,41 @@ fn campaign_json_with_telemetry_carries_exec_retry_counters() {
     assert!(stdout.contains("exec.cells_cancelled_total"), "{stdout}");
     let _ = std::fs::remove_file(&spec);
 }
+
+/// A numeric flag whose value does not parse exits 2 naming the flag and
+/// the value, instead of silently running with the flag's default.
+#[test]
+fn unparseable_numeric_flags_exit_2() {
+    let path = tmp("numeric-flag.json");
+    std::fs::write(&path, "{\"a\": 1}").expect("write json");
+    let json = path.to_str().expect("utf8");
+    let cases: [(&[&str], &str); 3] = [
+        (
+            &["run", "605.mcf", "cxl-b", "--refs", "8k"],
+            "--refs expects an integer, got 8k",
+        ),
+        (
+            &["diff", json, json, "--rel-tol", "bogus"],
+            "--rel-tol expects a number, got bogus",
+        ),
+        (
+            &[
+                "run",
+                "605.mcf",
+                "cxl-b",
+                "--policy",
+                "lru-hotness",
+                "--page-bytes",
+                "4k",
+            ],
+            "--page-bytes expects an integer, got 4k",
+        ),
+    ];
+    for (args, message) in cases {
+        let out = melody().args(args).output().expect("run melody");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_file(&path);
+}

@@ -14,16 +14,24 @@
 //!   and `--jobs 4`;
 //! - an unknown policy name is an exit-2 error listing the valid
 //!   spellings, through the CLI and through the campaign server (same
-//!   convention as topology validation errors).
+//!   convention as topology validation errors);
+//! - a tiering layer nested under any other device wrapper still sees
+//!   the core's per-reference stream and migrates.
 
+use std::cell::RefCell;
 use std::process::Command;
+use std::rc::Rc;
 
 use melody::campaign::{run_campaign, CampaignSpec, Shard};
 use melody::exec::CellPolicy;
 use melody::experiments::tiering::{phased_workload, tiering_config};
 use melody::journal::Journal;
 use melody::prelude::*;
-use melody_mem::{PolicyKind, POLICIES};
+use melody_mem::{
+    AccessBreakdown, CpmuDevice, DeviceStats, InterleavedDevice, MemRequest, NumaHopConfig,
+    NumaHopDevice, PolicyKind, SplitDevice, SwitchConfig, SwitchDevice, TieredDevice,
+    TieringConfig, POLICIES,
+};
 
 fn melody_bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_melody"))
@@ -222,4 +230,116 @@ fn unknown_policy_is_exit_2_with_the_valid_list() {
     handle.join();
     let _ = std::fs::remove_dir_all(&state);
     let _ = std::fs::remove_file(&spec_path);
+}
+
+/// A [`TieredDevice`] the test keeps a handle on after a wrapper takes
+/// ownership of the box, so its own stats stay readable.
+struct SharedTiered(Rc<RefCell<TieredDevice>>);
+
+impl MemoryDevice for SharedTiered {
+    fn access(&mut self, req: &MemRequest) -> AccessBreakdown {
+        self.0.borrow_mut().access(req)
+    }
+
+    fn name(&self) -> &str {
+        "tiered"
+    }
+
+    fn nominal_latency_ns(&self) -> f64 {
+        self.0.borrow().nominal_latency_ns()
+    }
+
+    fn stats(&self) -> DeviceStats {
+        self.0.borrow().stats()
+    }
+
+    fn fast_forward(&mut self, now: u64) {
+        self.0.borrow_mut().fast_forward(now);
+    }
+
+    fn wants_slot_observations(&self) -> bool {
+        self.0.borrow().wants_slot_observations()
+    }
+
+    fn observe_slot(&mut self, addr: u64, is_store: bool, now: u64) {
+        self.0.borrow_mut().observe_slot(addr, is_store, now);
+    }
+}
+
+/// Every device wrapper forwards slot observations to a nested tiering
+/// layer, routed the way its `access` routes: driven by nothing but
+/// `observe_slot` on a few hot pages, the nested `TieredDevice` promotes
+/// them and puts the copies on its own devices, as the unwrapped one
+/// (the control) does.
+#[test]
+fn slot_observations_reach_a_tiering_layer_under_every_wrapper() {
+    const BOUNDARY: u64 = 1 << 20;
+    type Wrap = fn(Box<dyn MemoryDevice>) -> Box<dyn MemoryDevice>;
+    let cases: [(&str, u64, Wrap); 6] = [
+        ("unwrapped", 0, |t| t),
+        ("numa", 0, |t| {
+            Box::new(NumaHopDevice::new(NumaHopConfig::plain(70.0, 60.0), t, 5))
+        }),
+        ("interleaved", 0, |t| {
+            Box::new(InterleavedDevice::new(
+                vec![t, presets::cxl_b().build(6)],
+                256,
+            ))
+        }),
+        ("split", BOUNDARY, |t| {
+            Box::new(SplitDevice::new(presets::local_emr().build(7), t, BOUNDARY))
+        }),
+        ("switch", 0, |t| {
+            let other = presets::cxl_b().build(8);
+            Box::new(SwitchDevice::new(
+                SwitchConfig::default(),
+                256,
+                vec![t, other],
+            ))
+        }),
+        ("cpmu", 0, |t| Box::new(CpmuDevice::new(t))),
+    ];
+    for (name, base, wrap) in cases {
+        let mut cfg = TieringConfig::new(PolicyKind::LruHotness);
+        cfg.fast_bytes = 16 * 4096;
+        let slow = presets::cxl_b();
+        let tiered = Rc::new(RefCell::new(TieredDevice::new(
+            cfg.clone(),
+            presets::local_emr().build(1),
+            slow.build(2),
+            slow.analytic_profile().total_gbps,
+        )));
+        let mut dev = wrap(Box::new(SharedTiered(tiered.clone())));
+        assert!(dev.wants_slot_observations(), "{name}: asks for the stream");
+
+        // Every line of 4 hot pages, twice per epoch, over 4 epochs.
+        let epoch_ps = cfg.epoch_ns * 1_000;
+        let mut t = 0;
+        for _ in 0..4 {
+            for _ in 0..2 {
+                for line in 0..4 * 4096 / 64 {
+                    dev.observe_slot(base + line * 64, false, t);
+                    t += 10_000;
+                }
+            }
+            t = (t / epoch_ps + 1) * epoch_ps;
+        }
+
+        let inner = tiered.borrow();
+        let c = inner.counters();
+        assert!(c.promoted > 0, "{name}: no promotion, {c:?}");
+        let s = inner.stats();
+        assert!(
+            s.reads > 0 && s.writes > 0,
+            "{name}: no migration copy traffic, {s:?}"
+        );
+    }
+
+    // Wrappers of plain devices still ask for nothing.
+    let plain = NumaHopDevice::new(
+        NumaHopConfig::plain(70.0, 60.0),
+        presets::cxl_b().build(3),
+        4,
+    );
+    assert!(!plain.wants_slot_observations());
 }
