@@ -8,21 +8,25 @@
 //! melody mlc <device> [--rw R] [--delay CYCLES] [--requests N]
 //! melody run <workload> <device | --topology T> [--refs N]
 //!            [--platform NAME] [--json] [--out PATH] [--windows N]
+//!            [--progress] [--fidelity F]
 //! melody cpmu <device> [--accesses N] # white-box component attribution
 //! melody campaign <spec.json> [--shard i/N] [--journal PATH] [--resume]
-//!                 [--topology T] [--json] [--progress]
+//!                 [--topology T] [--json] [--progress] [--fidelity F]
+//!                 [--cache DIR | --no-cache]
 //! melody degraded [--scale S] [--journal PATH] [--resume] [--limit N] [--json]
-//! melody tiering [--scale S] [--json]    # per-policy migration comparison
-//! melody trace <device> [--out PATH] [--workloads N] [--refs N]
+//!                 [--cache DIR | --no-cache]
+//! melody tiering [--scale S] [--json] [--fidelity F] # per-policy migration
+//! melody trace <device> [--out PATH] [--workloads N] [--refs N] [--fidelity F]
 //! melody diff <a.json> <b.json> [--rel-tol X] [--abs-tol X] [--json]
 //! melody report <run.json> [--out PATH]
-//! melody serve [--port N] [--state-dir DIR] [--queue-depth N]
+//! melody serve [--port N] [--addr HOST] [--state-dir DIR] [--queue-depth N]
 //!              [--admission-limit N] [--deadline-ms N] [--max-attempts N]
-//!              [--log text|json]
+//!              [--log text|json] [--cache DIR | --no-cache]
 //! melody submit <spec.json> [--server HOST:PORT] [--client NAME]
-//!               [--deadline-ms N] [--retries N] [--wait] [--poll-ms N] [--json]
+//!               [--deadline-ms N] [--retries N] [--wait] [--poll-ms N]
+//!               [--timeout-s N] [--json]
 //! melody status [job-id] [--server HOST:PORT] [--result] [--wait] [--watch]
-//!               [--poll-ms N] [--json]
+//!               [--poll-ms N] [--timeout-s N] [--json]
 //! melody drain [--server HOST:PORT]
 //! ```
 //!
@@ -40,21 +44,30 @@
 //! `--topology <spec.json>` replaces the device keyword with a
 //! declarative fabric topology (host / switch / expander nodes; see
 //! EXPERIMENTS.md "Topologies"). `probe` and `run` take it instead of
-//! the `<device>` positional; `melody campaign --topology T` appends the
+//! the `<device>` argument; `melody campaign --topology T` appends the
 //! topology to the campaign spec's device axis. A single-expander
 //! topology is byte-identical to naming its device class directly.
 //!
-//! Global flags: `--jobs N` (worker threads), `--telemetry
-//! off|metrics|trace` (instrumentation level, default off — see
-//! TELEMETRY.md), `--cadence-ns N` (gauge sampling window), and
-//! `--cache DIR` / `--no-cache` (content-addressed result cache; see
-//! EXPERIMENTS.md "Campaigns and the result cache"). `melody campaign`
-//! expands a platform × device × fault × workload spec into cells,
-//! loads warm cells from the cache (default `.melody-cache`), simulates
-//! only the misses, and emits byte-identical output for any cache,
-//! `--shard i/N` or `--jobs` mix. With
-//! telemetry enabled, every command appends a metrics table to its
-//! report (stdout) and a wall-clock phase profile to stderr. `melody
+//! Flags: one table (`FLAGS`) names every flag, whether it takes a
+//! value, and the commands that read it; the command line is parsed
+//! against it once, and each setting reaches the code that uses it as
+//! a value. An unknown flag, a flag the command does not read, a flag
+//! missing its value, or a value that does not parse exits 2 naming the
+//! flag. `--jobs N` (worker threads), `--telemetry off|metrics|trace`
+//! (instrumentation level, default off — see TELEMETRY.md) and
+//! `--cadence-ns N` (gauge sampling window) apply to every command.
+//! `--fidelity detailed|sampled|fast` and `--sample-warmup/-window/-period
+//! N` set the simulation tier of `run`, `trace`, `tiering` and
+//! `campaign`; on `campaign` they fill only what the spec leaves unset.
+//! `--cache DIR` / `--no-cache` select the content-addressed result
+//! cache of `campaign` and `serve` (default `.melody-cache`) and of
+//! `degraded` (default none); see EXPERIMENTS.md "Campaigns and the
+//! result cache". `melody campaign` expands a platform × device × fault
+//! × workload spec into cells, loads warm cells from the cache,
+//! simulates only the misses, and emits byte-identical output for any
+//! cache, `--shard i/N` or `--jobs` mix. With telemetry enabled, every
+//! command appends a metrics table to its report (stdout) and a
+//! wall-clock phase profile to stderr. `melody
 //! trace` runs a small deterministic population sweep in trace mode and
 //! exports a Chrome `trace_event` JSON viewable in Perfetto; the export
 //! is byte-identical for a fixed seed at any `--jobs` setting.
@@ -91,7 +104,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use melody::journal::Journal;
 use melody::prelude::*;
+use melody_cpu::{Fidelity, SamplingParams};
 use melody_mem::{CpmuDevice, FaultConfig, PolicyKind, TieringConfig};
 use melody_workloads::mlc::{loaded_latency, MlcConfig};
 use melody_workloads::Suite;
@@ -100,52 +115,180 @@ use melody_workloads::Suite;
 // (re-exported through the prelude) so the `campaign` spec expander and
 // the CLI agree on the vocabulary.
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+/// Every command, as `usage` lists them.
+const COMMANDS: &str = "devices|workloads|probe|mio|mlc|run|cpmu|campaign|degraded|tiering|\
+                        trace|diff|report|serve|submit|status|drain";
+
+/// Marks a flag every command reads.
+const ALL: &[&str] = &["*"];
+const TIERED: &[&str] = &["run", "trace", "tiering", "campaign"];
+const CACHED: &[&str] = &["campaign", "degraded", "serve"];
+const FAULTED: &[&str] = &["probe", "mio", "mlc", "run", "trace"];
+const PLACED: &[&str] = &["probe", "run", "campaign"];
+const JOURNALED: &[&str] = &["campaign", "degraded"];
+const WAITING: &[&str] = &["submit", "status"];
+
+/// A flag: its name, whether it takes a value, and the commands that
+/// read it.
+type Flag = (&'static str, bool, &'static [&'static str]);
+
+/// Every flag `melody` accepts.
+const FLAGS: &[Flag] = &[
+    ("--jobs", true, ALL),
+    ("--telemetry", true, ALL),
+    ("--cadence-ns", true, ALL),
+    ("--fidelity", true, TIERED),
+    ("--sample-warmup", true, TIERED),
+    ("--sample-window", true, TIERED),
+    ("--sample-period", true, TIERED),
+    ("--cache", true, CACHED),
+    ("--no-cache", false, CACHED),
+    ("--faults", true, FAULTED),
+    ("--topology", true, PLACED),
+    ("--policy", true, PLACED),
+    ("--page-bytes", true, PLACED),
+    ("--migrate-budget-gbps", true, PLACED),
+    ("--journal", true, JOURNALED),
+    ("--resume", false, JOURNALED),
+    ("--progress", false, &["run", "campaign"]),
+    (
+        "--json",
+        false,
+        &[
+            "run", "campaign", "degraded", "tiering", "diff", "submit", "status",
+        ],
+    ),
+    ("--out", true, &["run", "trace", "report"]),
+    ("--refs", true, &["run", "trace"]),
+    ("--scale", true, &["degraded", "tiering"]),
+    ("--accesses", true, &["mio", "cpmu"]),
+    ("--suite", true, &["workloads"]),
+    ("--threads", true, &["mio"]),
+    ("--noise", true, &["mio"]),
+    ("--rw", true, &["mlc"]),
+    ("--delay", true, &["mlc"]),
+    ("--requests", true, &["mlc"]),
+    ("--platform", true, &["run"]),
+    ("--windows", true, &["run"]),
+    ("--shard", true, &["campaign"]),
+    ("--limit", true, &["degraded"]),
+    ("--workloads", true, &["trace"]),
+    ("--rel-tol", true, &["diff"]),
+    ("--abs-tol", true, &["diff"]),
+    ("--addr", true, &["serve"]),
+    ("--port", true, &["serve"]),
+    ("--state-dir", true, &["serve"]),
+    ("--queue-depth", true, &["serve"]),
+    ("--admission-limit", true, &["serve"]),
+    ("--max-attempts", true, &["serve"]),
+    ("--log", true, &["serve"]),
+    ("--deadline-ms", true, &["serve", "submit"]),
+    ("--server", true, &["submit", "status", "drain"]),
+    ("--client", true, &["submit"]),
+    ("--retries", true, &["submit"]),
+    ("--wait", false, WAITING),
+    ("--poll-ms", true, WAITING),
+    ("--timeout-s", true, WAITING),
+    ("--watch", false, &["status"]),
+    ("--result", false, &["status"]),
+];
+
+/// One parsed command line: the command, its other arguments in order
+/// (`pos`), and the flags given (a switch's value is `None`).
+struct Cli {
+    cmd: String,
+    pos: Vec<String>,
+    flags: Vec<(&'static Flag, Option<String>)>,
 }
 
-/// The value of flag `name` parsed as a `T`, `None` when the flag is
-/// absent. A value that does not parse exits 2 naming the flag and the
-/// `kind` of value it expects.
-fn flag_parse<T: std::str::FromStr>(args: &[String], name: &str, kind: &str) -> Option<T> {
-    let v = flag(args, name)?;
-    Some(v.parse().unwrap_or_else(|_| {
-        eprintln!("{name} expects {kind}, got {v}");
-        std::process::exit(2);
-    }))
-}
+impl Cli {
+    /// Parses `args` against [`FLAGS`]; the first argument that is
+    /// neither a flag nor a flag's value is the command. An unknown
+    /// flag, a flag the command does not read, or a valued flag without
+    /// its value is an error naming the flag; a missing or unknown
+    /// command prints usage.
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
+        let mut pos = Vec::new();
+        let mut flags = Vec::new();
+        let mut args = args.into_iter();
+        while let Some(a) = args.next() {
+            if !a.starts_with("--") {
+                pos.push(a);
+                continue;
+            }
+            let Some(flag) = FLAGS.iter().find(|f| f.0 == a) else {
+                return Err(format!("unknown flag {a}"));
+            };
+            let value = if flag.1 {
+                match args.next() {
+                    Some(v) if !v.starts_with("--") => Some(v),
+                    _ => return Err(format!("{a} expects a value")),
+                }
+            } else {
+                None
+            };
+            flags.push((flag, value));
+        }
+        if !pos
+            .first()
+            .is_some_and(|c| COMMANDS.split('|').any(|k| k == c))
+        {
+            usage();
+        }
+        let cmd = pos.remove(0);
+        for ((name, _, readers), _) in &flags {
+            if *readers != ALL && !readers.contains(&cmd.as_str()) {
+                return Err(format!(
+                    "{cmd} does not read {name} (read by {})",
+                    readers.join(", ")
+                ));
+            }
+        }
+        Ok(Cli { cmd, pos, flags })
+    }
 
-fn flag_u64(args: &[String], name: &str, default: u64) -> u64 {
-    flag_parse(args, name, "an integer").unwrap_or(default)
-}
+    /// The raw value of flag `name`, if given.
+    fn str(&self, name: &str) -> Option<&str> {
+        self.flags
+            .iter()
+            .find(|(f, _)| f.0 == name)
+            .and_then(|(_, v)| v.as_deref())
+    }
 
-fn flag_f64(args: &[String], name: &str) -> Option<f64> {
-    flag_parse(args, name, "a number")
-}
+    /// True when flag `name` was given.
+    fn has(&self, name: &str) -> bool {
+        self.flags.iter().any(|(f, _)| f.0 == name)
+    }
 
-/// The `--scale` flag (`smoke` when absent); an unknown scale exits 2.
-fn scale_flag(args: &[String]) -> Scale {
-    Scale::resolve(flag(args, "--scale").as_deref()).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
+    /// The value of flag `name` converted by `parse`, `None` when the
+    /// flag is absent. A value `parse` rejects exits 2 naming the flag
+    /// and the `kind` of value it expects.
+    fn get<T>(&self, name: &str, kind: &str, parse: impl FnOnce(&str) -> Option<T>) -> Option<T> {
+        let v = self.str(name)?;
+        Some(parse(v).unwrap_or_else(|| {
+            eprintln!("{name} expects {kind}, got {v}");
+            std::process::exit(2);
+        }))
+    }
+
+    /// [`Cli::get`] for an integer value.
+    fn int<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        self.get(name, "an integer", |v| v.parse().ok())
+    }
+
+    /// [`Cli::get`] for a real-number value.
+    fn float(&self, name: &str) -> Option<f64> {
+        self.get(name, "a number", |v| v.parse().ok())
+    }
 }
 
 /// Attaches the `--faults <regime>` fault-injection regime to a device
 /// spec, if requested. An inert regime (`none`) leaves the spec
 /// untouched so output stays byte-identical to a fault-free build.
-fn apply_faults(spec: DeviceSpec, args: &[String]) -> DeviceSpec {
-    let Some(name) = flag(args, "--faults") else {
+fn apply_faults(spec: DeviceSpec, cli: &Cli) -> DeviceSpec {
+    let regimes = melody_mem::faults::REGIMES.join("|");
+    let Some(fc) = cli.get("--faults", &regimes, FaultConfig::by_name) else {
         return spec;
-    };
-    let Some(fc) = FaultConfig::by_name(&name) else {
-        eprintln!(
-            "unknown fault regime `{name}` (known: {})",
-            melody_mem::faults::REGIMES.join(", ")
-        );
-        std::process::exit(2);
     };
     if fc.is_inert() {
         spec
@@ -161,22 +304,19 @@ fn apply_faults(spec: DeviceSpec, args: &[String]) -> DeviceSpec {
 /// `--page-bytes N` and `--migrate-budget-gbps X` tune the config;
 /// an unknown policy or invalid knob exits 2 naming every valid
 /// spelling, the same convention fault and topology validation use.
-fn apply_policy(spec: DeviceSpec, args: &[String], local: &DeviceSpec) -> DeviceSpec {
-    let Some(name) = flag(args, "--policy") else {
+fn apply_policy(spec: DeviceSpec, cli: &Cli, local: &DeviceSpec) -> DeviceSpec {
+    let policies = melody_mem::POLICIES.join("|");
+    let Some(kind) = cli.get("--policy", &policies, PolicyKind::parse) else {
         return spec;
-    };
-    let Some(kind) = PolicyKind::parse(&name) else {
-        eprintln!("{}", melody_mem::policy::unknown_policy_error(&name));
-        std::process::exit(2);
     };
     if kind == PolicyKind::Static {
         return spec;
     }
     let mut tc = TieringConfig::new(kind);
-    if let Some(p) = flag_parse(args, "--page-bytes", "an integer") {
+    if let Some(p) = cli.int("--page-bytes") {
         tc.page_bytes = p;
     }
-    if let Some(b) = flag_f64(args, "--migrate-budget-gbps") {
+    if let Some(b) = cli.float("--migrate-budget-gbps") {
         tc.migrate_budget_gbps = b;
     }
     if let Err(e) = tc.validate() {
@@ -215,117 +355,125 @@ fn load_topology_spec_or_exit(path: &str) -> TopologySpec {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: melody <devices|workloads|probe|mio|mlc|run|cpmu|campaign|degraded|tiering|trace|diff|report|serve|submit|status|drain> [args]\n\
+        "usage: melody <{COMMANDS}> [args]\n\
          \u{20}      [--jobs N] [--telemetry off|metrics|trace] [--cadence-ns N]\n\
-         \u{20}      [--cache DIR] [--no-cache] [--fidelity detailed|sampled|fast]\n\
-         \u{20}      [--sample-warmup N] [--sample-window N] [--sample-period N]\n\
-         see `src/bin/melody.rs` header or README for details"
+         see `src/bin/melody.rs` header or README for the flags each command reads"
     );
     std::process::exit(2);
 }
 
-/// Consumes a global `--jobs N` flag (worker threads for parallel
-/// experiment sections; 1 = serial, default = all cores).
-fn take_jobs_flag(args: &mut Vec<String>) {
-    if let Some(i) = args.iter().position(|a| a == "--jobs") {
-        let n = args
-            .get(i + 1)
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or_else(|| usage());
-        melody::exec::set_jobs(n);
-        args.drain(i..i + 2);
+/// The `--fidelity` tier and the sampled tier's schedule (its defaults
+/// overridden by `--sample-warmup/-window/-period`) that `run`, `trace`
+/// and `tiering` simulate at. An invalid schedule exits 2.
+fn fidelity_flags(cli: &Cli) -> (Fidelity, SamplingParams) {
+    let fidelity = cli.get("--fidelity", "detailed|sampled|fast", Fidelity::parse);
+    let mut sampling = SamplingParams::default();
+    if let Some(w) = cli.int("--sample-warmup") {
+        sampling.warmup_slots = w;
     }
+    if let Some(w) = cli.int("--sample-window") {
+        sampling.window_slots = w;
+    }
+    if let Some(p) = cli.int("--sample-period") {
+        sampling.period_slots = p;
+    }
+    if let Err(e) = sampling.validate() {
+        eprintln!("invalid sampling schedule: {e}");
+        std::process::exit(2);
+    }
+    (fidelity.unwrap_or_default(), sampling)
 }
 
-/// Consumes the global fidelity flags. `--fidelity detailed|sampled|fast`
-/// selects the simulation tier for every run the command performs
-/// (default detailed — byte-identical to builds without the flag);
-/// `--sample-warmup/-window/-period N` override the sampled tier's
-/// schedule in slots. Campaign specs can still override per grid.
-fn take_fidelity_flags(args: &mut Vec<String>) {
-    if let Some(i) = args.iter().position(|a| a == "--fidelity") {
-        let f = args
-            .get(i + 1)
-            .and_then(|v| melody_cpu::Fidelity::parse(v))
-            .unwrap_or_else(|| usage());
-        melody::exec::set_fidelity(f);
-        args.drain(i..i + 2);
+/// The result-cache directory a command uses: `--cache DIR`, else
+/// `default`; `--no-cache` gives none.
+fn cache_dir<'a>(cli: &'a Cli, default: Option<&'a str>) -> Option<&'a str> {
+    if !cli.has("--no-cache") {
+        return cli.str("--cache").or(default);
     }
-    let (mut warmup, mut window, mut period) = (0u64, 0u64, 0u64);
-    for (flag, slot) in [
-        ("--sample-warmup", &mut warmup),
-        ("--sample-window", &mut window),
-        ("--sample-period", &mut period),
-    ] {
-        if let Some(i) = args.iter().position(|a| a == flag) {
-            *slot = args
-                .get(i + 1)
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or_else(|| usage());
-            args.drain(i..i + 2);
-        }
+    if cli.has("--cache") {
+        eprintln!("--cache and --no-cache are mutually exclusive");
+        std::process::exit(2);
     }
-    if warmup + window + period > 0 {
-        melody::exec::set_sampling(warmup, window, period);
-        if let Err(e) = melody::exec::sampling().validate() {
-            eprintln!("invalid sampling schedule: {e}");
-            std::process::exit(2);
-        }
-    }
+    None
 }
 
-/// Consumes the global telemetry flags: `--telemetry off|metrics|trace`
-/// selects the instrumentation level (default off: the zero-cost path,
-/// byte-identical output), `--cadence-ns N` sets the gauge sampling
-/// window in simulated nanoseconds.
-fn take_telemetry_flags(args: &mut Vec<String>) {
-    if let Some(i) = args.iter().position(|a| a == "--telemetry") {
-        let mode = args
-            .get(i + 1)
-            .and_then(|v| melody_telemetry::Mode::parse(v))
-            .unwrap_or_else(|| usage());
-        melody_telemetry::set_mode(mode);
-        args.drain(i..i + 2);
-    }
-    if let Some(i) = args.iter().position(|a| a == "--cadence-ns") {
-        let n = args
-            .get(i + 1)
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or_else(|| usage());
-        melody_telemetry::set_cadence_ns(n);
-        args.drain(i..i + 2);
-    }
+/// Opens the result cache of [`cache_dir`], exiting 2 when it cannot.
+fn open_cache(cli: &Cli, default: Option<&str>) -> Option<ResultCache> {
+    let dir = cache_dir(cli, default)?;
+    Some(ResultCache::open(dir).unwrap_or_else(|e| {
+        eprintln!("cannot open cache {dir}: {e}");
+        std::process::exit(2);
+    }))
 }
 
-/// Consumes the global cache flags. `--cache DIR` installs a
-/// content-addressed result cache rooted at DIR for every
-/// cache-aware code path (campaigns, population sweeps, figure
-/// drivers); `--no-cache` forces cache-free execution (it also
-/// suppresses the default `.melody-cache` that `melody campaign`
-/// would otherwise install). Returns `true` when `--no-cache` was
-/// given.
-fn take_cache_flags(args: &mut Vec<String>) -> bool {
-    let mut no_cache = false;
-    if let Some(i) = args.iter().position(|a| a == "--no-cache") {
-        no_cache = true;
-        args.remove(i);
-    }
-    if let Some(i) = args.iter().position(|a| a == "--cache") {
-        let dir = args.get(i + 1).cloned().unwrap_or_else(|| usage());
-        args.drain(i..i + 2);
-        if no_cache {
-            eprintln!("--cache and --no-cache are mutually exclusive");
-            std::process::exit(2);
+/// The checkpoint journal of a sweep: `--journal PATH`, truncated first
+/// unless `--resume` (stale entries would silently skip cells), else an
+/// in-memory journal. `--resume` without `--journal` exits 2. On
+/// `--resume`, a dropped torn tail is surfaced as a counted warning.
+fn open_journal(cli: &Cli) -> Journal {
+    let resume = cli.has("--resume");
+    let journal = match cli.str("--journal") {
+        Some(path) => {
+            if !resume {
+                let _ = std::fs::remove_file(path);
+            }
+            Journal::open(path).unwrap_or_else(|e| {
+                eprintln!("cannot open journal {path}: {e}");
+                std::process::exit(2);
+            })
         }
-        match ResultCache::open(&dir) {
-            Ok(c) => melody::cache::set_global(Some(c)),
-            Err(e) => {
-                eprintln!("cannot open cache {dir}: {e}");
+        None => {
+            if resume {
+                eprintln!("--resume requires --journal PATH");
                 std::process::exit(2);
             }
+            Journal::in_memory()
         }
+    };
+    if resume && journal.torn_lines() > 0 {
+        let path = journal
+            .path()
+            .map_or_else(|| "<memory>".to_string(), |p| p.display().to_string());
+        eprintln!(
+            "warning: dropped {} torn trailing record(s) from {path} (those cells will re-run)",
+            journal.torn_lines()
+        );
     }
-    no_cache
+    journal
+}
+
+/// Prints a sweep report to stdout: with `--json` the JSON document,
+/// else `render`'s table. With `--json` and telemetry on, the document
+/// is `{"report":…,"telemetry":…}` with the full telemetry export
+/// (percentile summaries, gauge windows, exec counters) folded in, so
+/// `melody diff` and external tools read it without re-parsing text;
+/// the wall-clock profile goes to stderr, as its values are
+/// nondeterministic. Exits 1 when a cell failed.
+fn print_report<R: serde::Serialize>(
+    cli: &Cli,
+    report: &R,
+    render: fn(&R) -> String,
+    failed: bool,
+) {
+    if !cli.has("--json") {
+        print!("{}", render(report));
+    } else if melody_telemetry::metrics_on() {
+        let c = melody_telemetry::collect();
+        let export = telemetry_export_with_exec_counters(&c.metrics);
+        println!(
+            "{{\"report\":{},\"telemetry\":{}}}",
+            melody::report::to_json(report),
+            serde_json::to_string(&export).expect("telemetry export serialize")
+        );
+        if !c.profile.is_empty() {
+            eprint!("{}", c.profile.render());
+        }
+    } else {
+        println!("{}", melody::report::to_json(report));
+    }
+    if failed {
+        std::process::exit(1);
+    }
 }
 
 /// Drains collected telemetry after a command: metrics join the report
@@ -343,6 +491,9 @@ fn finish_telemetry() {
         eprint!("{}", c.profile.render());
     }
 }
+
+/// How often the `--progress` heartbeat re-renders.
+const HEARTBEAT_PERIOD: Duration = Duration::from_millis(500);
 
 /// RAII guard for the `--progress` stderr heartbeat thread: dropping it
 /// stops the thread and, when a cell sink is attached (campaigns),
@@ -365,12 +516,12 @@ impl Drop for HeartbeatGuard {
     }
 }
 
-/// Spawns the `--progress` heartbeat: every `period` it re-renders the
-/// sink's snapshot (or, with no sink, the elapsed wall clock alone —
-/// single `run` invocations have no cell grid) and prints the line to
-/// stderr when it changed, so a stalled run stays quiet. All output is
-/// stderr: comparable stdout is untouched.
-fn spawn_heartbeat(sink: Option<Arc<Progress>>, period: Duration) -> HeartbeatGuard {
+/// Spawns the `--progress` heartbeat: every [`HEARTBEAT_PERIOD`] it
+/// re-renders the sink's snapshot (or, with no sink, the elapsed wall
+/// clock alone — single `run` invocations have no cell grid) and
+/// prints the line to stderr when it changed, so a stalled run stays
+/// quiet. All output is stderr: comparable stdout is untouched.
+fn spawn_heartbeat(sink: Option<Arc<Progress>>) -> HeartbeatGuard {
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
     let thread_sink = sink.clone();
@@ -396,8 +547,8 @@ fn spawn_heartbeat(sink: Option<Arc<Progress>>, period: Duration) -> HeartbeatGu
             }
             // Sleep in short steps so drop() joins promptly.
             let mut slept = Duration::ZERO;
-            while slept < period && !stop2.load(Ordering::Relaxed) {
-                let step = (period - slept).min(Duration::from_millis(25));
+            while slept < HEARTBEAT_PERIOD && !stop2.load(Ordering::Relaxed) {
+                let step = (HEARTBEAT_PERIOD - slept).min(Duration::from_millis(25));
                 std::thread::sleep(step);
                 slept += step;
             }
@@ -410,58 +561,40 @@ fn spawn_heartbeat(sink: Option<Arc<Progress>>, period: Duration) -> HeartbeatGu
     }
 }
 
-/// Consumes the `--progress` flag shared by `campaign` and `run`,
-/// arming the process-wide heartbeat period (the flag is a boolean;
-/// the period is fixed at 500 ms).
-fn progress_requested(args: &[String]) -> bool {
-    if args.iter().any(|a| a == "--progress") {
-        melody::progress::set_heartbeat_ms(500);
-    }
-    melody::progress::heartbeat_ms().is_some()
-}
-
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    take_jobs_flag(&mut args);
-    take_fidelity_flags(&mut args);
-    take_telemetry_flags(&mut args);
-    let no_cache = take_cache_flags(&mut args);
-    let Some(cmd) = args.first() else { usage() };
-    if cmd == "campaign" && !no_cache && !melody::cache::global_enabled() {
-        // Campaigns default to a local cache; every other command is
-        // cache-free unless --cache is given.
-        match ResultCache::open(".melody-cache") {
-            Ok(c) => melody::cache::set_global(Some(c)),
-            Err(e) => {
-                eprintln!("cannot open cache .melody-cache: {e}");
-                std::process::exit(2);
-            }
-        }
+    let cli = Cli::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
+    if let Some(n) = cli.int("--jobs") {
+        melody::exec::set_jobs(n);
     }
-    match cmd.as_str() {
+    let modes = "off|metrics|trace";
+    if let Some(mode) = cli.get("--telemetry", modes, melody_telemetry::Mode::parse) {
+        melody_telemetry::set_mode(mode);
+    }
+    if let Some(n) = cli.int("--cadence-ns") {
+        melody_telemetry::set_cadence_ns(n);
+    }
+    match cli.cmd.as_str() {
         "devices" => cmd_devices(),
-        "workloads" => cmd_workloads(&args[1..]),
-        "probe" => cmd_probe(&args[1..]),
-        "mio" => cmd_mio(&args[1..]),
-        "mlc" => cmd_mlc(&args[1..]),
-        "run" => cmd_run(&args[1..]),
-        "cpmu" => cmd_cpmu(&args[1..]),
-        "campaign" => cmd_campaign(&args[1..]),
-        "degraded" => cmd_degraded(&args[1..]),
-        "tiering" => cmd_tiering(&args[1..]),
-        "trace" => cmd_trace(&args[1..]),
-        "diff" => cmd_diff(&args[1..]),
-        "report" => cmd_report(&args[1..]),
-        "serve" => cmd_serve(&args[1..], no_cache),
-        "submit" => cmd_submit(&args[1..]),
-        "status" => cmd_status(&args[1..]),
-        "drain" => cmd_drain(&args[1..]),
-        _ => usage(),
-    }
-    // Cache effectiveness is diagnostic output: stderr only, never into
-    // comparable stdout.
-    if let Some(stats) = melody::cache::global_stats() {
-        eprintln!("{}", stats.render());
+        "workloads" => cmd_workloads(&cli),
+        "probe" => cmd_probe(&cli),
+        "mio" => cmd_mio(&cli),
+        "mlc" => cmd_mlc(&cli),
+        "run" => cmd_run(&cli),
+        "cpmu" => cmd_cpmu(&cli),
+        "campaign" => cmd_campaign(&cli),
+        "degraded" => cmd_degraded(&cli),
+        "tiering" => cmd_tiering(&cli),
+        "trace" => cmd_trace(&cli),
+        "diff" => cmd_diff(&cli),
+        "report" => cmd_report(&cli),
+        "serve" => cmd_serve(&cli),
+        "submit" => cmd_submit(&cli),
+        "status" => cmd_status(&cli),
+        "drain" => cmd_drain(&cli),
+        _ => unreachable!("Cli::parse admits only COMMANDS"),
     }
     finish_telemetry();
 }
@@ -498,11 +631,11 @@ fn cmd_devices() {
     }
 }
 
-fn cmd_workloads(args: &[String]) {
-    let suite_filter = flag(args, "--suite");
+fn cmd_workloads(cli: &Cli) {
+    let suite_filter = cli.str("--suite");
     let mut shown = 0;
     for w in registry::all() {
-        if let Some(f) = &suite_filter {
+        if let Some(f) = suite_filter {
             if !w.suite.label().eq_ignore_ascii_case(f) {
                 continue;
             }
@@ -523,21 +656,20 @@ fn cmd_workloads(args: &[String]) {
     let _ = Suite::Redis; // keep the import meaningful for --suite docs
 }
 
-fn cmd_probe(args: &[String]) {
-    let device = args.first().filter(|a| !a.starts_with("--"));
-    let spec = match (device, flag(args, "--topology")) {
+fn cmd_probe(cli: &Cli) {
+    let spec = match (cli.pos.first(), cli.str("--topology")) {
         (Some(_), Some(_)) => {
             eprintln!("probe takes either a device keyword or --topology, not both");
             std::process::exit(2);
         }
         (Some(n), None) => device_by_name(n).unwrap_or_else(|| usage()),
-        (None, Some(path)) => load_topology_or_exit(&path),
+        (None, Some(path)) => load_topology_or_exit(path),
         (None, None) => usage(),
     };
-    let spec = apply_faults(spec, args);
+    let spec = apply_faults(spec, cli);
     // Probe has no platform axis; the tiering fast tier is the default
     // platform's local DRAM.
-    let spec = apply_policy(spec, args, &presets::local_emr());
+    let spec = apply_policy(spec, cli, &presets::local_emr());
     let mut dev = spec.build(1);
     let idle = probe::idle_latency_ns(dev.as_mut(), 5_000);
     let mut dev2 = spec.build(1);
@@ -570,15 +702,15 @@ fn print_ras(ras: &melody_mem::RasCounters) {
     }
 }
 
-fn cmd_mio(args: &[String]) {
-    let Some(spec) = args.first().and_then(|n| device_by_name(n)) else {
+fn cmd_mio(cli: &Cli) {
+    let Some(spec) = cli.pos.first().and_then(|n| device_by_name(n)) else {
         usage()
     };
-    let spec = apply_faults(spec, args);
+    let spec = apply_faults(spec, cli);
     let cfg = melody_mio::MioConfig {
-        chase_threads: flag_u64(args, "--threads", 1) as usize,
-        noise_threads: flag_u64(args, "--noise", 0) as usize,
-        accesses: flag_u64(args, "--accesses", 40_000),
+        chase_threads: cli.int("--threads").unwrap_or(1),
+        noise_threads: cli.int("--noise").unwrap_or(0),
+        accesses: cli.int("--accesses").unwrap_or(40_000),
         ..Default::default()
     };
     let r = melody_mio::run(&spec, &cfg);
@@ -594,16 +726,16 @@ fn cmd_mio(args: &[String]) {
     );
 }
 
-fn cmd_mlc(args: &[String]) {
-    let Some(spec) = args.first().and_then(|n| device_by_name(n)) else {
+fn cmd_mlc(cli: &Cli) {
+    let Some(spec) = cli.pos.first().and_then(|n| device_by_name(n)) else {
         usage()
     };
-    let spec = apply_faults(spec, args);
-    let read_frac = flag_f64(args, "--rw").unwrap_or(1.0);
+    let spec = apply_faults(spec, cli);
+    let read_frac = cli.float("--rw").unwrap_or(1.0);
     let cfg = MlcConfig {
         read_frac,
-        delay_cycles: flag_u64(args, "--delay", 0),
-        total_requests: flag_u64(args, "--requests", 40_000),
+        delay_cycles: cli.int("--delay").unwrap_or(0),
+        total_requests: cli.int("--requests").unwrap_or(40_000),
         ..MlcConfig::default()
     };
     let p = loaded_latency(&spec, &cfg);
@@ -619,40 +751,42 @@ fn cmd_mlc(args: &[String]) {
     print_ras(&p.stats.ras);
 }
 
-fn cmd_run(args: &[String]) {
-    let Some(wname) = args.first() else { usage() };
+fn cmd_run(cli: &Cli) {
+    let Some(wname) = cli.pos.first() else {
+        usage()
+    };
     let Some(w) = registry::by_name(wname) else {
         eprintln!("unknown workload {wname} (try `melody workloads`)");
         std::process::exit(2);
     };
-    let device = args.get(1).filter(|a| !a.starts_with("--"));
-    let spec = match (device, flag(args, "--topology")) {
+    let spec = match (cli.pos.get(1), cli.str("--topology")) {
         (Some(_), Some(_)) => {
             eprintln!("run takes either a device keyword or --topology, not both");
             std::process::exit(2);
         }
         (Some(dname), None) => device_by_name(dname).unwrap_or_else(|| usage()),
-        (None, Some(path)) => load_topology_or_exit(&path),
+        (None, Some(path)) => load_topology_or_exit(path),
         (None, None) => usage(),
     };
-    let spec = apply_faults(spec, args);
-    let platform = flag(args, "--platform")
-        .and_then(|p| platform_by_name(&p))
+    let spec = apply_faults(spec, cli);
+    let platforms = "spr2s|emr2s|emr2s-prime|skx2s|skx8s";
+    let platform = cli
+        .get("--platform", platforms, platform_by_name)
         .unwrap_or_else(Platform::emr2s);
+    let (fidelity, sampling) = fidelity_flags(cli);
     let opts = RunOptions {
-        mem_refs: flag_u64(args, "--refs", 30_000),
+        mem_refs: cli.int("--refs").unwrap_or(30_000),
+        fidelity,
+        sampling,
         ..Default::default()
     };
     // A single run has no cell grid, so `--progress` reports elapsed
     // wall clock only (no ETA — the n/a convention, not a guess).
-    let _heartbeat = progress_requested(args).then(|| {
-        let ms = melody::progress::heartbeat_ms().unwrap_or(500);
-        spawn_heartbeat(None, Duration::from_millis(ms))
-    });
+    let _heartbeat = cli.has("--progress").then(|| spawn_heartbeat(None));
     let local = melody::campaign::local_for_platform(&platform);
-    let spec = apply_policy(spec, args, &local);
-    if args.iter().any(|a| a == "--json") {
-        run_json(args, &platform, &local, &spec, &w, &opts);
+    let spec = apply_policy(spec, cli, &local);
+    if cli.has("--json") {
+        run_json(cli, &platform, &local, &spec, &w, &opts);
         return;
     }
     let pair = run_pair(&platform, &local, &spec, &w, &opts);
@@ -686,7 +820,7 @@ fn cmd_run(args: &[String]) {
 /// export. `--out PATH` additionally writes the document to a file;
 /// `--windows N` sets the timeline resolution.
 fn run_json(
-    args: &[String],
+    cli: &Cli,
     platform: &Platform,
     local_spec: &DeviceSpec,
     target_spec: &DeviceSpec,
@@ -694,7 +828,7 @@ fn run_json(
     opts: &RunOptions,
 ) {
     let cfg = melody_insight::InsightConfig {
-        windows: flag_u64(args, "--windows", 24) as usize,
+        windows: cli.int("--windows").unwrap_or(24),
         ..Default::default()
     };
     let (local_run, _l_events, l_dropped, l_metrics) =
@@ -711,10 +845,12 @@ fn run_json(
         target_device: target_spec.name(),
         seed: opts.seed,
         mem_refs: opts.mem_refs,
-        faults: flag(args, "--faults").unwrap_or_default(),
-        policy: flag(args, "--policy")
-            .filter(|p| p != "static")
-            .unwrap_or_default(),
+        faults: cli.str("--faults").unwrap_or_default().to_string(),
+        policy: cli
+            .str("--policy")
+            .filter(|p| *p != "static")
+            .unwrap_or_default()
+            .to_string(),
     };
     let doc = melody_insight::build_run_doc(
         meta,
@@ -726,8 +862,8 @@ fn run_json(
         &cfg,
     );
     let json = melody::report::to_json(&doc);
-    if let Some(path) = flag(args, "--out") {
-        if let Err(e) = std::fs::write(&path, &json) {
+    if let Some(path) = cli.str("--out") {
+        if let Err(e) = std::fs::write(path, &json) {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(2);
         }
@@ -772,23 +908,10 @@ fn read_json_text(path: &str) -> String {
 /// Prints the human delta table (or the machine verdict with `--json`)
 /// and exits 0 when identical/within tolerance, 1 on divergence, 2 on
 /// usage or I/O errors — CI gates on the exit code.
-fn cmd_diff(args: &[String]) {
-    // The two documents are the positional (non-flag) arguments, in any
-    // interleaving with the flags: `diff --json a b` works like
-    // `diff a b --json`.
-    let mut paths = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--rel-tol" | "--abs-tol" => i += 2,
-            s if s.starts_with("--") => i += 1,
-            _ => {
-                paths.push(&args[i]);
-                i += 1;
-            }
-        }
-    }
-    let [path_a, path_b] = paths[..] else { usage() };
+fn cmd_diff(cli: &Cli) {
+    let [path_a, path_b] = &cli.pos[..] else {
+        usage()
+    };
     let read = |path: &String| -> serde::Value {
         let text = read_json_text(path);
         serde_json::from_str(&text).unwrap_or_else(|e| {
@@ -799,11 +922,11 @@ fn cmd_diff(args: &[String]) {
     let a = read(path_a);
     let b = read(path_b);
     let opts = melody_insight::DiffOptions {
-        rel_tol: flag_f64(args, "--rel-tol").unwrap_or(0.0),
-        abs_tol: flag_f64(args, "--abs-tol").unwrap_or(0.0),
+        rel_tol: cli.float("--rel-tol").unwrap_or(0.0),
+        abs_tol: cli.float("--abs-tol").unwrap_or(0.0),
     };
     let verdict = melody_insight::diff_values(&a, &b, &opts);
-    if args.iter().any(|x| x == "--json") {
+    if cli.has("--json") {
         println!("{}", melody::report::to_json(&verdict));
     } else {
         print!(
@@ -821,8 +944,8 @@ fn cmd_diff(args: &[String]) {
 /// `melody report <run.json>`: renders a `melody-run` document into a
 /// self-contained static HTML page (inline SVG charts, inline CSS, no
 /// scripts or external assets) at `--out` (default `report.html`).
-fn cmd_report(args: &[String]) {
-    let Some(path) = args.first() else { usage() };
+fn cmd_report(cli: &Cli) {
+    let Some(path) = cli.pos.first() else { usage() };
     let text = read_json_text(path);
     let doc: melody_insight::RunDoc = serde_json::from_str(&text).unwrap_or_else(|e| {
         eprintln!("{path}: not a melody-run document: {e}");
@@ -836,9 +959,9 @@ fn cmd_report(args: &[String]) {
         );
         std::process::exit(2);
     }
-    let out_path = flag(args, "--out").unwrap_or_else(|| "report.html".to_string());
+    let out_path = cli.str("--out").unwrap_or("report.html");
     let html = melody_insight::render_run_html(&doc);
-    if let Err(e) = std::fs::write(&out_path, &html) {
+    if let Err(e) = std::fs::write(out_path, &html) {
         eprintln!("cannot write {out_path}: {e}");
         std::process::exit(2);
     }
@@ -852,11 +975,11 @@ fn cmd_report(args: &[String]) {
     );
 }
 
-fn cmd_cpmu(args: &[String]) {
-    let Some(spec) = args.first().and_then(|n| device_by_name(n)) else {
+fn cmd_cpmu(cli: &Cli) {
+    let Some(spec) = cli.pos.first().and_then(|n| device_by_name(n)) else {
         usage()
     };
-    let accesses = flag_u64(args, "--accesses", 40_000);
+    let accesses = cli.int("--accesses").unwrap_or(40_000);
     let mut dev = CpmuDevice::new(spec.build(1));
     let mut rng = melody_sim::SimRng::seed_from(0xC11);
     let mut t = 0;
@@ -892,32 +1015,8 @@ fn cmd_cpmu(args: &[String]) {
 /// interleaved slices; `--journal PATH` + `--resume` checkpoint and
 /// resume exactly like `melody degraded`. Output is byte-identical for
 /// any cache, shard or `--jobs` mix.
-fn cmd_campaign(args: &[String]) {
-    use melody::journal::Journal;
-
-    // The spec path is the first positional; values of valued flags
-    // (`--shard 0/2`, `--journal j.log`, `--topology t.json`,
-    // `--policy lru-hotness`, ...) are not positionals and must be
-    // skipped.
-    let valued_flags = [
-        "--shard",
-        "--journal",
-        "--topology",
-        "--policy",
-        "--page-bytes",
-        "--migrate-budget-gbps",
-    ];
-    let mut spec_path = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if valued_flags.contains(&a.as_str()) {
-            it.next();
-        } else if !a.starts_with("--") {
-            spec_path = Some(a);
-            break;
-        }
-    }
-    let Some(spec_path) = spec_path else {
+fn cmd_campaign(cli: &Cli) {
+    let Some(spec_path) = cli.pos.first() else {
         eprintln!("campaign requires a spec file (see datasets/grid_quick.json)");
         std::process::exit(2);
     };
@@ -925,110 +1024,64 @@ fn cmd_campaign(args: &[String]) {
         eprintln!("{e}");
         std::process::exit(2);
     });
-    if let Some(tp) = flag(args, "--topology") {
-        spec.topologies.push(load_topology_spec_or_exit(&tp));
+    if let Some(tp) = cli.str("--topology") {
+        spec.topologies.push(load_topology_spec_or_exit(tp));
     }
     // `--policy NAME` appends to the spec's tiering-policy axis (the
     // expander validates the name; an unknown one exits 2 listing the
     // valid spellings). Knob flags override the spec's values.
-    if let Some(p) = flag(args, "--policy") {
-        spec.policies.push(p);
+    if let Some(p) = cli.str("--policy") {
+        spec.policies.push(p.to_string());
     }
-    if let Some(p) = flag_parse(args, "--page-bytes", "an integer") {
+    if let Some(p) = cli.int("--page-bytes") {
         spec.page_bytes = Some(p);
     }
-    if let Some(b) = flag_f64(args, "--migrate-budget-gbps") {
+    if let Some(b) = cli.float("--migrate-budget-gbps") {
         spec.migrate_budget_gbps = Some(b);
     }
-    let shard = match flag(args, "--shard") {
-        Some(s) => Shard::parse(&s).unwrap_or_else(|| {
-            eprintln!("bad --shard `{s}` (expected i/N with i < N)");
-            std::process::exit(2);
-        }),
-        None => Shard::full(),
-    };
-    let resume = args.iter().any(|a| a == "--resume");
-    let mut journal = match flag(args, "--journal") {
-        Some(path) => {
-            if !resume {
-                // A fresh (non---resume) campaign starts from a clean
-                // journal; stale entries would silently skip cells.
-                let _ = std::fs::remove_file(&path);
-            }
-            Journal::open(&path).unwrap_or_else(|e| {
-                eprintln!("cannot open journal {path}: {e}");
-                std::process::exit(2);
-            })
-        }
-        None => {
-            if resume {
-                eprintln!("--resume requires --journal PATH");
-                std::process::exit(2);
-            }
-            Journal::in_memory()
-        }
-    };
-    warn_torn_journal(&journal, resume);
+    // The fidelity flags fill only what the spec leaves unset, so a
+    // spec that names its tier or schedule runs as written.
+    let fidelity = cli.get("--fidelity", "detailed|sampled|fast", Fidelity::parse);
+    if spec.fidelity.is_none() {
+        spec.fidelity = fidelity.map(|f| f.label().to_string());
+    }
+    spec.sample_warmup = spec.sample_warmup.or(cli.int("--sample-warmup"));
+    spec.sample_window = spec.sample_window.or(cli.int("--sample-window"));
+    spec.sample_period = spec.sample_period.or(cli.int("--sample-period"));
+    let shard = cli
+        .get("--shard", "i/N with i < N", Shard::parse)
+        .unwrap_or_else(Shard::full);
+    let mut journal = open_journal(cli);
+    let cache = open_cache(cli, Some(".melody-cache"));
     let mut policy = melody::exec::CellPolicy::default();
-    let heartbeat = if progress_requested(args) {
+    let heartbeat = if cli.has("--progress") {
         let sink = Arc::new(Progress::default());
         policy = policy.with_progress(Arc::clone(&sink));
-        let ms = melody::progress::heartbeat_ms().unwrap_or(500);
-        Some(spawn_heartbeat(Some(sink), Duration::from_millis(ms)))
+        Some(spawn_heartbeat(Some(sink)))
     } else {
         None
     };
-    let run = melody::cache::with_global(|cache| {
-        run_campaign(&spec, shard, &mut journal, cache, &policy)
-    })
-    .unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let run =
+        run_campaign(&spec, shard, &mut journal, cache.as_ref(), &policy).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        });
     // Stop the heartbeat (printing its final line) before the stats
     // render so the stderr stream reads in order.
     drop(heartbeat);
     // Resolution provenance differs between warm/cold/resumed runs, so
     // it goes to stderr; stdout stays byte-comparable.
     eprintln!("{}", run.stats.render());
-    let report = run.report;
-    if args.iter().any(|a| a == "--json") {
-        if melody_telemetry::metrics_on() {
-            // Same document shape as `degraded --json --telemetry`: the
-            // report plus the telemetry export as one JSON object.
-            let c = melody_telemetry::collect();
-            let export = telemetry_export_with_exec_counters(&c.metrics);
-            println!(
-                "{{\"report\":{},\"telemetry\":{}}}",
-                melody::report::to_json(&report),
-                serde_json::to_string(&export).expect("telemetry export serialize")
-            );
-            if !c.profile.is_empty() {
-                eprint!("{}", c.profile.render());
-            }
-        } else {
-            println!("{}", melody::report::to_json(&report));
-        }
-    } else {
-        print!("{}", report.render());
-    }
-    if !report.errors.is_empty() {
-        std::process::exit(1);
-    }
+    let failed = !run.report.errors.is_empty();
+    print_report(cli, &run.report, CampaignReport::render, failed);
+    print_cache_stats(cache.as_ref());
 }
 
-/// Surfaces a journal's dropped torn tail as a counted warning on
-/// `--resume` (a fresh run truncates the journal, so there is nothing
-/// to warn about).
-fn warn_torn_journal(journal: &melody::journal::Journal, resume: bool) {
-    if resume && journal.torn_lines() > 0 {
-        let path = journal
-            .path()
-            .map_or_else(|| "<memory>".to_string(), |p| p.display().to_string());
-        eprintln!(
-            "warning: dropped {} torn trailing record(s) from {path} (those cells will re-run)",
-            journal.torn_lines()
-        );
+/// Cache effectiveness is diagnostic output: stderr only, never into
+/// comparable stdout.
+fn print_cache_stats(cache: Option<&ResultCache>) {
+    if let Some(c) = cache {
+        eprintln!("{}", c.stats().render());
     }
 }
 
@@ -1055,80 +1108,42 @@ fn telemetry_export_with_exec_counters(
     export
 }
 
-fn cmd_degraded(args: &[String]) {
+fn cmd_degraded(cli: &Cli) {
     use melody::experiments::degraded;
-    use melody::journal::Journal;
 
-    let scale = scale_flag(args);
-    let resume = args.iter().any(|a| a == "--resume");
-    let mut journal = match flag(args, "--journal") {
-        Some(path) => {
-            if !resume {
-                // A fresh (non---resume) sweep starts from a clean
-                // journal; stale entries would silently skip cells.
-                let _ = std::fs::remove_file(&path);
-            }
-            Journal::open(&path).unwrap_or_else(|e| {
-                eprintln!("cannot open journal {path}: {e}");
-                std::process::exit(2);
-            })
-        }
-        None => {
-            if resume {
-                eprintln!("--resume requires --journal PATH");
-                std::process::exit(2);
-            }
-            Journal::in_memory()
-        }
-    };
-    warn_torn_journal(&journal, resume);
-    let limit = flag_parse(args, "--limit", "an integer");
+    let scale = cli
+        .get("--scale", "smoke|quick|full", Scale::parse)
+        .unwrap_or(Scale::Smoke);
+    let limit = cli.int("--limit");
+    let mut journal = open_journal(cli);
+    let cache = open_cache(cli, None);
     let report = degraded::run_with(
         scale,
         &degraded::standard_cells(),
         &mut journal,
+        cache.as_ref(),
         limit,
         &melody::exec::CellPolicy::default(),
     );
-    if args.iter().any(|a| a == "--json") {
-        if melody_telemetry::metrics_on() {
-            // Fold the telemetry export into the JSON document rather
-            // than breaking it with a trailing table: full percentile
-            // summaries (p50/p95/p99/p99.9/max, n) and gauge window
-            // series, so `melody diff` and external tooling consume
-            // them without re-parsing rendered text. The profile still
-            // goes to stderr: wall-clock values are nondeterministic.
-            let c = melody_telemetry::collect();
-            let export = telemetry_export_with_exec_counters(&c.metrics);
-            println!(
-                "{{\"report\":{},\"telemetry\":{}}}",
-                melody::report::to_json(&report),
-                serde_json::to_string(&export).expect("telemetry export serialize")
-            );
-            if !c.profile.is_empty() {
-                eprint!("{}", c.profile.render());
-            }
-        } else {
-            println!("{}", melody::report::to_json(&report));
-        }
-    } else {
-        print!("{}", report.render());
-    }
-    if !report.errors.is_empty() {
-        std::process::exit(1);
-    }
+    let failed = !report.errors.is_empty();
+    print_report(cli, &report, degraded::DegradedReport::render, failed);
+    print_cache_stats(cache.as_ref());
 }
 
 /// `melody tiering [--scale S] [--json]`: runs the per-policy online
 /// migration comparison (every [`melody_mem::POLICIES`] entry on the
-/// phased hot/cold workload over CXL-B) and renders the slowdown /
-/// migration-traffic table, or the JSON document with `--json`.
-fn cmd_tiering(args: &[String]) {
+/// phased hot/cold workload over CXL-B, at the `--fidelity` tier) and
+/// renders the slowdown / migration-traffic table, or the JSON document
+/// with `--json`.
+fn cmd_tiering(cli: &Cli) {
     use melody::experiments::tiering;
 
-    let scale = scale_flag(args);
-    let data = tiering::run(scale);
-    if args.iter().any(|a| a == "--json") {
+    let scale = cli
+        .get("--scale", "smoke|quick|full", Scale::parse)
+        .unwrap_or(Scale::Smoke);
+    let (fidelity, sampling) = fidelity_flags(cli);
+    let data = tiering::run(scale, fidelity, sampling);
+    if cli.has("--json") {
         println!(
             "{}",
             serde_json::to_string_pretty(&data).expect("tiering data serializes")
@@ -1145,18 +1160,25 @@ fn cmd_tiering(args: &[String]) {
 /// The sweep goes through the parallel harness, so `--jobs` exercises
 /// the worker pool — and the export is still byte-identical at any
 /// worker count, which CI enforces with `cmp`.
-fn cmd_trace(args: &[String]) {
-    let Some(dname) = args.first() else { usage() };
+fn cmd_trace(cli: &Cli) {
+    let Some(dname) = cli.pos.first() else {
+        usage()
+    };
     let Some(spec) = device_by_name(dname) else {
         usage()
     };
-    let spec = apply_faults(spec, args);
+    let spec = apply_faults(spec, cli);
     melody_telemetry::set_mode(melody_telemetry::Mode::Trace);
-    let out_path = flag(args, "--out").unwrap_or_else(|| format!("trace_{dname}.json"));
-    let n = flag_u64(args, "--workloads", 6) as usize;
+    let out_path = cli
+        .str("--out")
+        .map_or_else(|| format!("trace_{dname}.json"), str::to_string);
+    let n = cli.int("--workloads").unwrap_or(6);
     let workloads: Vec<_> = registry::all().into_iter().take(n).collect();
+    let (fidelity, sampling) = fidelity_flags(cli);
     let opts = RunOptions {
-        mem_refs: flag_u64(args, "--refs", 4_000),
+        mem_refs: cli.int("--refs").unwrap_or(4_000),
+        fidelity,
+        sampling,
         ..Default::default()
     };
     let platform = Platform::emr2s();
@@ -1182,79 +1204,33 @@ fn cmd_trace(args: &[String]) {
     }
 }
 
-/// First non-flag argument, skipping the *values* of flags that take
-/// one (so `status --server H:P job-000001` finds the job id, not the
-/// address).
-fn positional(args: &[String], value_flags: &[&str]) -> Option<String> {
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if value_flags.contains(&a.as_str()) {
-            i += 2;
-        } else if a.starts_with("--") {
-            i += 1;
-        } else {
-            return Some(a.clone());
-        }
-    }
-    None
-}
-
-/// Flags-with-values shared by the client subcommands, for
-/// [`positional`].
-const CLIENT_VALUE_FLAGS: &[&str] = &[
-    "--server",
-    "--client",
-    "--deadline-ms",
-    "--retries",
-    "--poll-ms",
-    "--timeout-s",
-];
-
-fn server_flag(args: &[String]) -> String {
-    flag(args, "--server").unwrap_or_else(|| melody::server::DEFAULT_ADDR.to_string())
-}
-
 /// `melody serve`: runs the campaign service in the foreground until it
 /// drains (SIGTERM, SIGINT or `POST /v1/drain`). See
-/// `melody::server` for the API and robustness model. The global
-/// `--cache DIR` flag selects the server's result cache (default
-/// `.melody-cache`; `--no-cache` disables warm starts).
-fn cmd_serve(args: &[String], no_cache: bool) {
+/// `melody::server` for the API and robustness model. `--cache DIR`
+/// selects the server's result cache (default `.melody-cache`;
+/// `--no-cache` disables warm starts).
+fn cmd_serve(cli: &Cli) {
+    use melody::server::log::{self, LogFormat};
     use melody::server::{signal, ServeConfig, Server};
 
     let mut cfg = ServeConfig::default();
-    if let Some(h) = flag(args, "--addr") {
-        cfg.host = h;
+    if let Some(h) = cli.str("--addr") {
+        cfg.host = h.to_string();
     }
-    if let Some(p) = flag(args, "--port") {
-        cfg.port = p.parse().unwrap_or_else(|_| usage());
+    if let Some(p) = cli.get("--port", "a port number", |v| v.parse().ok()) {
+        cfg.port = p;
     }
-    if let Some(d) = flag(args, "--state-dir") {
+    if let Some(d) = cli.str("--state-dir") {
         cfg.state_dir = d.into();
     }
-    cfg.queue_depth = flag_u64(args, "--queue-depth", cfg.queue_depth as u64) as usize;
-    cfg.admission_limit = flag_u64(args, "--admission-limit", cfg.admission_limit);
-    if let Some(ms) = flag(args, "--deadline-ms") {
-        cfg.default_deadline_ms = Some(ms.parse().unwrap_or_else(|_| usage()));
+    cfg.queue_depth = cli.int("--queue-depth").unwrap_or(cfg.queue_depth);
+    cfg.admission_limit = cli.int("--admission-limit").unwrap_or(cfg.admission_limit);
+    cfg.default_deadline_ms = cli.int("--deadline-ms");
+    cfg.max_attempts = cli.int("--max-attempts").unwrap_or(cfg.max_attempts);
+    if let Some(f) = cli.get("--log", "text|json", LogFormat::parse) {
+        log::set_format(f);
     }
-    cfg.max_attempts = flag_u64(args, "--max-attempts", u64::from(cfg.max_attempts)) as u32;
-    if let Some(fmt) = flag(args, "--log") {
-        match melody::server::log::LogFormat::parse(&fmt) {
-            Some(f) => melody::server::log::set_format(f),
-            None => usage(),
-        }
-    }
-    // The server owns a private cache handle: the process-global one is
-    // held locked for a whole campaign, which would block health and
-    // status queries while a job runs.
-    cfg.cache_dir = if no_cache {
-        None
-    } else {
-        melody::cache::with_global(|c| c.map(|c| c.root().to_path_buf()))
-            .or_else(|| Some(".melody-cache".into()))
-    };
-    melody::cache::set_global(None);
+    cfg.cache_dir = cache_dir(cli, Some(".melody-cache")).map(Into::into);
     signal::install_drain_handler();
     let handle = Server::start(cfg).unwrap_or_else(|e| {
         eprintln!("cannot start server: {e}");
@@ -1275,14 +1251,14 @@ fn cmd_serve(args: &[String], no_cache: bool) {
 /// exact bytes `melody campaign --json` would emit. Exit codes: 0
 /// accepted/succeeded, 1 the job itself failed or was interrupted, 2
 /// client/usage errors (unreachable server, bad spec, ...).
-fn cmd_submit(args: &[String]) {
+fn cmd_submit(cli: &Cli) {
     use melody::server::client::{self, RetrySchedule};
 
-    let Some(spec_path) = positional(args, CLIENT_VALUE_FLAGS) else {
+    let Some(spec_path) = cli.pos.first() else {
         eprintln!("submit requires a spec file (see datasets/grid_quick.json)");
         std::process::exit(2);
     };
-    let spec_text = std::fs::read_to_string(&spec_path).unwrap_or_else(|e| {
+    let spec_text = std::fs::read_to_string(spec_path).unwrap_or_else(|e| {
         eprintln!("cannot read {spec_path}: {e}");
         std::process::exit(2);
     });
@@ -1292,17 +1268,16 @@ fn cmd_submit(args: &[String]) {
         eprintln!("{spec_path}: not a campaign spec: {e:?}");
         std::process::exit(2);
     }
-    let server = server_flag(args);
-    let client_name = flag(args, "--client");
-    let deadline_ms = flag(args, "--deadline-ms").map(|v| v.parse().unwrap_or_else(|_| usage()));
+    let server = cli.str("--server").unwrap_or(melody::server::DEFAULT_ADDR);
+    let deadline_ms = cli.int("--deadline-ms");
     let schedule = RetrySchedule {
-        max_retries: flag_u64(args, "--retries", 0) as u32,
+        max_retries: cli.int("--retries").unwrap_or(0),
         ..Default::default()
     };
     match client::submit_with_retry(
-        &server,
+        server,
         &spec_text,
-        client_name.as_deref(),
+        cli.str("--client"),
         deadline_ms,
         &schedule,
     ) {
@@ -1318,9 +1293,9 @@ fn cmd_submit(args: &[String]) {
                 "accepted {}: {} cells, cost {}, {} job(s) ahead",
                 reply.job_id, reply.total_cells, reply.cost, reply.position
             );
-            if args.iter().any(|a| a == "--wait") {
-                wait_and_print_result(&server, &reply.job_id, args);
-            } else if args.iter().any(|a| a == "--json") {
+            if cli.has("--wait") {
+                wait_and_print_result(server, &reply.job_id, cli);
+            } else if cli.has("--json") {
                 println!(
                     "{}",
                     serde_json::to_string(&reply).expect("reply serializes")
@@ -1336,12 +1311,12 @@ fn cmd_submit(args: &[String]) {
 /// job failed or was interrupted, 2 on client errors. The poll sleep
 /// starts at `--poll-ms` and backs off (doubling, capped at 5 s) while
 /// the job's state is unchanged, snapping back when it moves.
-fn wait_and_print_result(server: &str, id: &str, args: &[String]) {
+fn wait_and_print_result(server: &str, id: &str, cli: &Cli) {
     use melody::server::api::JobStatus;
     use melody::server::client::{self, RetrySchedule};
 
-    let poll = Duration::from_millis(flag_u64(args, "--poll-ms", 200));
-    let timeout = Duration::from_secs(flag_u64(args, "--timeout-s", 600));
+    let poll = Duration::from_millis(cli.int("--poll-ms").unwrap_or(200));
+    let timeout = Duration::from_secs(cli.int("--timeout-s").unwrap_or(600));
     let schedule = RetrySchedule {
         max_retries: 0,
         base: poll,
@@ -1467,22 +1442,22 @@ fn watch_status(server: &str, id: Option<&str>, poll: Duration) {
 /// until it finishes, `--watch` for a live-refreshing view).
 /// Unreachable servers, malformed responses and unknown job ids exit 2
 /// with a clear message.
-fn cmd_status(args: &[String]) {
+fn cmd_status(cli: &Cli) {
     use melody::server::client;
 
-    let server = server_flag(args);
-    let id = positional(args, CLIENT_VALUE_FLAGS);
-    if args.iter().any(|a| a == "--watch") {
-        let poll = Duration::from_millis(flag_u64(args, "--poll-ms", 500));
-        watch_status(&server, id.as_deref(), poll);
+    let server = cli.str("--server").unwrap_or(melody::server::DEFAULT_ADDR);
+    let id = cli.pos.first();
+    if cli.has("--watch") {
+        let poll = Duration::from_millis(cli.int("--poll-ms").unwrap_or(500));
+        watch_status(server, id.map(String::as_str), poll);
         return;
     }
     let Some(id) = id else {
-        let health = client::health(&server).unwrap_or_else(|e| {
+        let health = client::health(server).unwrap_or_else(|e| {
             eprintln!("{e}");
             std::process::exit(2);
         });
-        if args.iter().any(|a| a == "--json") {
+        if cli.has("--json") {
             println!(
                 "{}",
                 serde_json::to_string(&health).expect("health serializes")
@@ -1511,16 +1486,16 @@ fn cmd_status(args: &[String]) {
         }
         return;
     };
-    if args.iter().any(|a| a == "--wait") {
-        wait_and_print_result(&server, &id, args);
+    if cli.has("--wait") {
+        wait_and_print_result(server, id, cli);
         return;
     }
-    let view = client::job_status(&server, &id).unwrap_or_else(|e| {
+    let view = client::job_status(server, id).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2);
     });
-    if args.iter().any(|a| a == "--result") {
-        match client::job_result(&server, &id) {
+    if cli.has("--result") {
+        match client::job_result(server, id) {
             Ok(bytes) => {
                 use std::io::Write as _;
                 let mut out = std::io::stdout();
@@ -1534,7 +1509,7 @@ fn cmd_status(args: &[String]) {
         }
         return;
     }
-    if args.iter().any(|a| a == "--json") {
+    if cli.has("--json") {
         println!("{}", serde_json::to_string(&view).expect("view serializes"));
     } else {
         println!("{}", status_line(&view));
@@ -1544,11 +1519,11 @@ fn cmd_status(args: &[String]) {
 /// `melody drain`: asks the server to finish gracefully (stop accepting
 /// submissions, cancel unclaimed cells, checkpoint, exit) — the same
 /// path a SIGTERM takes.
-fn cmd_drain(args: &[String]) {
+fn cmd_drain(cli: &Cli) {
     use melody::server::client;
 
-    let server = server_flag(args);
-    match client::drain(&server) {
+    let server = cli.str("--server").unwrap_or(melody::server::DEFAULT_ADDR);
+    match client::drain(server) {
         Ok(()) => println!("drain requested"),
         Err(e) => {
             eprintln!("{e}");

@@ -30,7 +30,6 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::{fs, io};
 
 use serde::{Deserialize, Serialize};
@@ -250,35 +249,6 @@ impl ResultCache {
             corrupt: self.corrupt.load(Ordering::Relaxed),
         }
     }
-}
-
-/// Process-wide cache configured by the CLI's `--cache DIR` flag.
-///
-/// `None` (the default) keeps every experiment driver on its exact
-/// pre-cache code path — [`crate::campaign::cached_map`] degenerates to
-/// a plain [`crate::exec::parallel_map`] — so cache-less runs stay
-/// byte-identical to builds without the cache layer.
-static GLOBAL: Mutex<Option<ResultCache>> = Mutex::new(None);
-
-/// Installs (or with `None`, removes) the process-wide cache.
-pub fn set_global(cache: Option<ResultCache>) {
-    *GLOBAL.lock().expect("cache registry lock") = cache;
-}
-
-/// True when a process-wide cache is installed.
-pub fn global_enabled() -> bool {
-    GLOBAL.lock().expect("cache registry lock").is_some()
-}
-
-/// Runs `f` with the process-wide cache handle (if any).
-pub fn with_global<R>(f: impl FnOnce(Option<&ResultCache>) -> R) -> R {
-    let guard = GLOBAL.lock().expect("cache registry lock");
-    f(guard.as_ref())
-}
-
-/// Counter snapshot of the process-wide cache, if one is installed.
-pub fn global_stats() -> Option<CacheStats> {
-    with_global(|c| c.map(|c| c.stats()))
 }
 
 #[cfg(test)]

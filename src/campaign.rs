@@ -18,10 +18,9 @@
 //! `--jobs` setting, or any shard split merged back together. CI
 //! enforces this with `cmp`.
 //!
-//! The same machinery backs the experiment drivers via [`cached_map`]:
-//! with no process-wide cache installed it degenerates to a plain
-//! [`crate::exec::parallel_map`] (the exact pre-cache code path); with
-//! `--cache DIR` it keys each cell and reuses prior results.
+//! A cell is a pure function of its spec: nothing outside the spec (no
+//! process setting) enters [`CampaignSpec::expand`], so one spec file
+//! names the same cells and cache keys in every process.
 
 use std::sync::Mutex;
 
@@ -104,7 +103,7 @@ pub fn cell_fingerprint(domain: &str, config_json: &str) -> String {
 }
 
 /// Canonical config JSON of one local-vs-target pair run — the hash
-/// input for [`cell_fingerprint`] used by all pair-running drivers.
+/// input for [`cell_fingerprint`] of every campaign cell.
 pub fn pair_config_json(
     platform: &Platform,
     local: &DeviceSpec,
@@ -120,60 +119,6 @@ pub fn pair_config_json(
         workload.canonical_json(),
         serde_json::to_string(opts).expect("RunOptions serializes"),
     )
-}
-
-/// Cache-aware [`crate::exec::parallel_map`]: with no process-wide cache
-/// installed ([`cache::set_global`]) this *is* `parallel_map` — same
-/// code path, byte-identical output. With a cache, each item's config
-/// (from `key_config`) is fingerprinted under `domain`; hits
-/// deserialize from the cache and only misses are simulated (then
-/// stored). Fresh results round-trip through the same compact JSON a
-/// hit would load from, so warm and cold runs are structurally
-/// identical.
-pub fn cached_map<T, R>(
-    domain: &str,
-    items: &[T],
-    key_config: impl Fn(&T) -> String + Sync,
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send + Serialize + Deserialize,
-{
-    if !cache::global_enabled() {
-        return crate::exec::parallel_map(items, f);
-    }
-    let keys: Vec<String> = items
-        .iter()
-        .map(|t| cell_fingerprint(domain, &key_config(t)))
-        .collect();
-    let mut slots: Vec<Option<R>> = cache::with_global(|c| {
-        let c = c.expect("cache checked enabled");
-        keys.iter()
-            .map(|k| c.get(k).and_then(|p| serde_json::from_str(&p).ok()))
-            .collect()
-    });
-    let miss_idx: Vec<usize> = slots
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.is_none())
-        .map(|(i, _)| i)
-        .collect();
-    let miss_items: Vec<&T> = miss_idx.iter().map(|&i| &items[i]).collect();
-    let fresh = crate::exec::parallel_map(&miss_items, |t| f(t));
-    for (&slot, r) in miss_idx.iter().zip(fresh) {
-        let json = serde_json::to_string(&r).expect("cell result serializes");
-        cache::with_global(|c| {
-            // A full disk is a degraded cache, not a failed experiment:
-            // the result below is still returned either way.
-            let _ = c.expect("cache checked enabled").put(&keys[slot], &json);
-        });
-        slots[slot] = Some(serde_json::from_str(&json).expect("cell result round-trips"));
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every slot filled"))
-        .collect()
 }
 
 /// A declarative campaign: the JSON document `melody campaign` loads.
@@ -206,8 +151,7 @@ pub struct CampaignSpec {
     #[serde(default)]
     pub seed: Option<u64>,
     /// Fidelity tier for every cell in the grid:
-    /// `detailed` | `sampled` | `fast` (default: the process-wide
-    /// setting, i.e. the binary's `--fidelity` flag or `detailed`).
+    /// `detailed` | `sampled` | `fast` (default `detailed`).
     #[serde(default)]
     pub fidelity: Option<String>,
     /// Sampled-tier warmup slots per period (default 512).
@@ -307,11 +251,11 @@ impl CampaignSpec {
             policies.push((pol.clone(), Some(tc)));
         }
         let fidelity = match self.fidelity.as_deref() {
-            None => crate::exec::fidelity(),
+            None => melody_cpu::Fidelity::Detailed,
             Some(s) => melody_cpu::Fidelity::parse(s)
                 .ok_or_else(|| format!("unknown fidelity `{s}` (detailed|sampled|fast)"))?,
         };
-        let mut sampling = crate::exec::sampling();
+        let mut sampling = melody_cpu::SamplingParams::default();
         if let Some(w) = self.sample_warmup {
             sampling.warmup_slots = w;
         }
@@ -383,10 +327,6 @@ impl CampaignSpec {
                             Some(tc) => faulted.clone().with_tiering(tc.clone(), local.clone()),
                         };
                         for w in &workloads {
-                            // Same domain as the drivers' pair runs: a
-                            // cell simulated by `run_population_par` or
-                            // a grid is a warm hit for an equivalent
-                            // campaign cell.
                             let config = pair_config_json(&platform, &local, &target, w, &opts);
                             let key = cell_fingerprint("pair", &config);
                             cells.push(CampaignCell {

@@ -25,7 +25,9 @@
 //! The worker count is a process-wide setting ([`set_jobs`] /
 //! [`jobs`]), wired to `--jobs N` on the `melody` binary and the
 //! `figures` example. `--jobs 1` forces the legacy serial path;
-//! the default uses all available cores.
+//! the default uses all available cores. It is the one run setting kept
+//! process-wide because it sizes the host's worker pool, never a cell:
+//! everything that decides a result travels in [`crate::RunOptions`].
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -100,67 +102,6 @@ pub fn jobs() -> usize {
             .unwrap_or(1),
         n => n,
     }
-}
-
-/// Process-wide default fidelity tier, stored as `Fidelity as u8`
-/// (0 = detailed). Wired to `--fidelity` on the `melody` binary the same
-/// way [`JOBS`] is wired to `--jobs`: drivers that build a default
-/// [`crate::runner::RunOptions`] pick it up without plumbing a parameter
-/// through every experiment signature.
-static FIDELITY: AtomicUsize = AtomicUsize::new(0);
-/// Process-wide sampling-schedule overrides, in slots; 0 = "use the
-/// [`melody_cpu::SamplingParams`] default".
-static SAMPLE_WARMUP: AtomicUsize = AtomicUsize::new(0);
-static SAMPLE_WINDOW: AtomicUsize = AtomicUsize::new(0);
-static SAMPLE_PERIOD: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the process-wide default fidelity tier.
-pub fn set_fidelity(f: melody_cpu::Fidelity) {
-    FIDELITY.store(
-        match f {
-            melody_cpu::Fidelity::Detailed => 0,
-            melody_cpu::Fidelity::Sampled => 1,
-            melody_cpu::Fidelity::Fast => 2,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The process-wide default fidelity tier ([`set_fidelity`], default
-/// detailed).
-pub fn fidelity() -> melody_cpu::Fidelity {
-    match FIDELITY.load(Ordering::Relaxed) {
-        1 => melody_cpu::Fidelity::Sampled,
-        2 => melody_cpu::Fidelity::Fast,
-        _ => melody_cpu::Fidelity::Detailed,
-    }
-}
-
-/// Overrides the process-wide sampling schedule for the sampled tier.
-/// A zero field keeps that component's default.
-pub fn set_sampling(warmup: u64, window: u64, period: u64) {
-    SAMPLE_WARMUP.store(warmup as usize, Ordering::Relaxed);
-    SAMPLE_WINDOW.store(window as usize, Ordering::Relaxed);
-    SAMPLE_PERIOD.store(period as usize, Ordering::Relaxed);
-}
-
-/// The process-wide sampling schedule: the [`set_sampling`] overrides
-/// applied over [`melody_cpu::SamplingParams::default`].
-pub fn sampling() -> melody_cpu::SamplingParams {
-    let mut p = melody_cpu::SamplingParams::default();
-    let w = SAMPLE_WARMUP.load(Ordering::Relaxed) as u64;
-    if w > 0 {
-        p.warmup_slots = w;
-    }
-    let w = SAMPLE_WINDOW.load(Ordering::Relaxed) as u64;
-    if w > 0 {
-        p.window_slots = w;
-    }
-    let w = SAMPLE_PERIOD.load(Ordering::Relaxed) as u64;
-    if w > 0 {
-        p.period_slots = w;
-    }
-    p
 }
 
 /// Maps `f` over `items` on [`jobs`] worker threads, returning results

@@ -86,19 +86,9 @@ pub fn tail_mechanisms(scale: Scale) -> TailAblation {
         ("none".into(), DeviceSpec::Cxl(none)),
     ];
     TailAblation {
-        gaps: crate::campaign::cached_map(
-            "mio.tailgap",
-            &variants,
-            |(name, spec)| {
-                format!(
-                    "{{\"label\":{name:?},\"spec\":{},\"noise_threads\":3,\
-                     \"noise_read_frac\":0.7,\"accesses\":{}}}",
-                    spec.canonical_json(),
-                    scale.mio_accesses()
-                )
-            },
-            |(name, spec)| (name.clone(), melody_mio::run(spec, &mio_cfg).tail_gap_ns),
-        ),
+        gaps: crate::exec::parallel_map(&variants, |(name, spec)| {
+            (name.clone(), melody_mio::run(spec, &mio_cfg).tail_gap_ns)
+        }),
     }
 }
 

@@ -17,6 +17,7 @@ use melody_mem::{faults, presets, DeviceSpec, FaultConfig, RasCounters};
 use melody_workloads::mlc;
 use serde::{Deserialize, Serialize};
 
+use crate::cache::ResultCache;
 use crate::exec::{run_cells, CellError, CellPolicy};
 use crate::journal::Journal;
 use crate::report::{ras_table, TableData};
@@ -207,12 +208,14 @@ fn compute_cell(device: &str, regime: &str, scale: Scale) -> DegradedCell {
     }
 }
 
-/// Runs the standard sweep with an in-memory journal and default policy.
+/// Runs the standard sweep with an in-memory journal, no result cache
+/// and the default policy.
 pub fn run(scale: Scale) -> DegradedReport {
     run_with(
         scale,
         &standard_cells(),
         &mut Journal::in_memory(),
+        None,
         None,
         &CellPolicy::default(),
     )
@@ -222,18 +225,21 @@ pub fn run(scale: Scale) -> DegradedReport {
 ///
 /// Cells already in `journal` are restored without recomputation (the
 /// `--resume` path); newly finished cells are appended to it as they
-/// complete, so a killed sweep loses at most in-flight cells. `limit`
-/// caps how many *missing* cells are attempted this invocation (used by
-/// interrupt tests and incremental runs); cells beyond the limit are
-/// simply absent from this report, not errors.
+/// complete, so a killed sweep loses at most in-flight cells. Cells in
+/// `cache` (any earlier run with the same resolved config) are restored
+/// and journaled; fresh cells are stored to it. `limit` caps how many
+/// *missing* cells are attempted this invocation (used by interrupt
+/// tests and incremental runs); cells beyond the limit are simply
+/// absent from this report, not errors.
 ///
-/// Every result — journaled or fresh — passes through one JSON
+/// Every result — journaled, cached or fresh — passes through one JSON
 /// round-trip, so resumed and uninterrupted sweeps serialize
 /// byte-identically.
 pub fn run_with(
     scale: Scale,
     cells: &[(String, String)],
     journal: &mut Journal,
+    cache: Option<&ResultCache>,
     limit: Option<usize>,
     policy: &CellPolicy,
 ) -> DegradedReport {
@@ -249,19 +255,13 @@ pub fn run_with(
         if let Some(json) = journal.get(&key) {
             let cell = serde_json::from_str(json).expect("journaled cell must deserialize");
             // Backfill the cache so journal-free runs also start warm.
-            if let Some(ck) = &ck {
-                crate::cache::with_global(|c| {
-                    if let Some(c) = c {
-                        let _ = c.put(ck, json);
-                    }
-                });
+            if let (Some(c), Some(ck)) = (cache, &ck) {
+                let _ = c.put(ck, json);
             }
             slots.push(Some(cell));
             continue;
         }
-        let cached = ck
-            .as_deref()
-            .and_then(|ck| crate::cache::with_global(|c| c.and_then(|c| c.get(ck))));
+        let cached = cache.zip(ck.as_deref()).and_then(|(c, ck)| c.get(ck));
         if let Some(json) = cached {
             if let Ok(cell) = serde_json::from_str::<DegradedCell>(&json) {
                 // Checkpoint the restored cell so `--resume` without the
@@ -295,12 +295,8 @@ pub fn run_with(
                 .expect("journal lock")
                 .record(key, &json)
                 .expect("journal append");
-            if let Some(ck) = cell_cache_key(device, regime, scale) {
-                crate::cache::with_global(|c| {
-                    if let Some(c) = c {
-                        let _ = c.put(&ck, &json);
-                    }
-                });
+            if let Some((c, ck)) = cache.zip(cell_cache_key(device, regime, scale)) {
+                let _ = c.put(&ck, &json);
             }
             // Round-trip so fresh results are byte-identical to restored
             // ones.
@@ -341,6 +337,7 @@ mod tests {
             &smoke_cells(),
             &mut Journal::in_memory(),
             None,
+            None,
             &CellPolicy::default(),
         );
         assert!(r.errors.is_empty(), "errors: {:?}", r.errors);
@@ -372,6 +369,7 @@ mod tests {
             &cells,
             &mut Journal::in_memory(),
             None,
+            None,
             &CellPolicy::default(),
         );
         assert_eq!(r.cells.len(), 1, "good cell still completes");
@@ -390,14 +388,58 @@ mod tests {
     fn journaled_rerun_skips_and_matches() {
         let cells = smoke_cells();
         let mut j = Journal::in_memory();
-        let a = run_with(Scale::Smoke, &cells, &mut j, None, &CellPolicy::default());
+        let a = run_with(
+            Scale::Smoke,
+            &cells,
+            &mut j,
+            None,
+            None,
+            &CellPolicy::default(),
+        );
         assert_eq!(j.len(), 3);
         // Second run restores everything from the journal.
-        let b = run_with(Scale::Smoke, &cells, &mut j, None, &CellPolicy::default());
+        let b = run_with(
+            Scale::Smoke,
+            &cells,
+            &mut j,
+            None,
+            None,
+            &CellPolicy::default(),
+        );
         assert_eq!(
             serde_json::to_string(&a).expect("a"),
             serde_json::to_string(&b).expect("b"),
         );
+    }
+
+    #[test]
+    fn cached_rerun_matches_and_journals_the_hits() {
+        let dir = std::env::temp_dir().join(format!("melody-degraded-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cells = smoke_cells();
+        let cold = ResultCache::open(&dir).expect("open cache");
+        let policy = CellPolicy::default();
+        let a = run_with(
+            Scale::Smoke,
+            &cells,
+            &mut Journal::in_memory(),
+            Some(&cold),
+            None,
+            &policy,
+        );
+        assert_eq!(cold.stats().misses, 3);
+        // A fresh journal and cache handle: every cell loads from the
+        // cache and is checkpointed, byte-identically.
+        let warm = ResultCache::open(&dir).expect("reopen cache");
+        let mut j = Journal::in_memory();
+        let b = run_with(Scale::Smoke, &cells, &mut j, Some(&warm), None, &policy);
+        assert_eq!(warm.stats().hits, 3);
+        assert_eq!(j.len(), 3, "cache hits are journaled");
+        assert_eq!(
+            serde_json::to_string(&a).expect("a"),
+            serde_json::to_string(&b).expect("b"),
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

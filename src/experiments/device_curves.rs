@@ -36,16 +36,6 @@ impl CurveSet {
     }
 }
 
-/// Cache-key config for one [`sweep`] call (the delay ladder is the
-/// standard one, so spec + read fraction + request count pin it down).
-fn sweep_key(spec: &DeviceSpec, read_frac: f64, scale: Scale) -> String {
-    format!(
-        "{{\"spec\":{},\"read_frac\":{read_frac},\"requests\":{}}}",
-        spec.canonical_json(),
-        scale.mlc_requests()
-    )
-}
-
 fn sweep(spec: &DeviceSpec, read_frac: f64, scale: Scale) -> Series {
     let delays = mlc::standard_delays();
     let pts = mlc::latency_bandwidth_curve(spec, &delays, read_frac, scale.mlc_requests());
@@ -73,21 +63,11 @@ pub fn fig01(scale: Scale) -> CurveSet {
         "CXL+multi-hops".into(),
         presets::cxl_d().with_switch_hop().with_switch_hop(),
     ));
-    let curves = crate::campaign::cached_map(
-        "mlc.curve",
-        &configs,
-        |(name, spec)| {
-            format!(
-                "{{\"label\":{name:?},\"cfg\":{}}}",
-                sweep_key(spec, 1.0, scale)
-            )
-        },
-        |(name, spec)| {
-            let mut s = sweep(spec, 1.0, scale);
-            s.name = name.clone();
-            s
-        },
-    );
+    let curves = crate::exec::parallel_map(&configs, |(name, spec)| {
+        let mut s = sweep(spec, 1.0, scale);
+        s.name = name.clone();
+        s
+    });
     CurveSet {
         figure: "fig01: CXL latency/bandwidth spectrum".into(),
         curves,
@@ -107,12 +87,7 @@ pub fn fig03a(scale: Scale) -> CurveSet {
     ];
     CurveSet {
         figure: "fig03a: loaded latency vs bandwidth".into(),
-        curves: crate::campaign::cached_map(
-            "mlc.curve",
-            &configs,
-            |s| format!("{{\"label\":null,\"cfg\":{}}}", sweep_key(s, 1.0, scale)),
-            |s| sweep(s, 1.0, scale),
-        ),
+        curves: crate::exec::parallel_map(&configs, |s| sweep(s, 1.0, scale)),
     }
 }
 
@@ -152,21 +127,11 @@ pub fn fig05(scale: Scale) -> Vec<Fig05Panel> {
         .iter()
         .flat_map(|spec| ratios.iter().map(move |&r| (spec, r)))
         .collect();
-    let sweeps = crate::campaign::cached_map(
-        "mlc.curve",
-        &flat,
-        |(spec, (label, frac))| {
-            format!(
-                "{{\"label\":{label:?},\"cfg\":{}}}",
-                sweep_key(spec, *frac, scale)
-            )
-        },
-        |(spec, (label, frac))| {
-            let mut s = sweep(spec, *frac, scale);
-            s.name = label.to_string();
-            s
-        },
-    );
+    let sweeps = crate::exec::parallel_map(&flat, |(spec, (label, frac))| {
+        let mut s = sweep(spec, *frac, scale);
+        s.name = label.to_string();
+        s
+    });
     configs
         .iter()
         .zip(sweeps.chunks_exact(ratios.len()))

@@ -183,12 +183,9 @@ pub fn run_grid(setups: &[Setup], scale: Scale) -> GridData {
         .iter()
         .flat_map(|s| workloads.iter().map(move |w| (s, w)))
         .collect();
-    let outcomes = crate::campaign::cached_map(
-        "pair",
-        &flat,
-        |(s, w)| crate::campaign::pair_config_json(&s.platform, &s.local, &s.target, w, &opts),
-        |(s, w)| run_pair(&s.platform, &s.local, &s.target, w, &opts),
-    );
+    let outcomes = crate::exec::parallel_map(&flat, |(s, w)| {
+        run_pair(&s.platform, &s.local, &s.target, w, &opts)
+    });
     let mut rest = outcomes.as_slice();
     let cells = setups
         .iter()

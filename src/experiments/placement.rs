@@ -50,20 +50,8 @@ pub fn run(scale: Scale) -> PlacementData {
     // Step 1: measure and locate bursts (the paper's Spa + Pin step).
     // The baseline and CXL runs are independent; run them side by side.
     let specs = [presets::local_emr(), cxl.clone()];
-    let mut runs = crate::campaign::cached_map(
-        "workload.run",
-        &specs,
-        |spec| {
-            format!(
-                "{{\"platform\":{},\"device\":{},\"workload\":{},\"opts\":{}}}",
-                serde_json::to_string(&platform).expect("Platform serializes"),
-                spec.canonical_json(),
-                w.canonical_json(),
-                serde_json::to_string(&opts).expect("opts serialize")
-            )
-        },
-        |spec| run_workload(&platform, spec, &w, &opts),
-    );
+    let mut runs =
+        crate::exec::parallel_map(&specs, |spec| run_workload(&platform, spec, &w, &opts));
     let cxl_run = runs.pop().expect("two runs");
     let local_run = runs.pop().expect("two runs");
     let baseline_slowdown = cxl_run.slowdown_vs(&local_run);

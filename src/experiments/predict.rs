@@ -96,16 +96,9 @@ pub fn run(scale: Scale) -> PredictData {
         .iter()
         .flat_map(|(_, spec)| workloads.iter().map(move |w| (spec, w)))
         .collect();
-    // Domain "pair.slowdown", not "pair": same cell configuration but an
-    // f64 payload rather than a full PairOutcome.
-    let truths = crate::campaign::cached_map(
-        "pair.slowdown",
-        &flat,
-        |(spec, w)| {
-            crate::campaign::pair_config_json(&platform, &presets::local_emr(), spec, w, &opts)
-        },
-        |(spec, w)| run_pair(&platform, &presets::local_emr(), spec, w, &opts).slowdown,
-    );
+    let truths = crate::exec::parallel_map(&flat, |(spec, w)| {
+        run_pair(&platform, &presets::local_emr(), spec, w, &opts).slowdown
+    });
 
     let mut targets = Vec::new();
     for ((label, _), truth_chunk) in target_specs

@@ -122,32 +122,18 @@ pub fn run(scale: Scale) -> Table1Data {
         let remote = spec.clone().with_numa_hop();
         cells.push((spec.name(), spec, remote, paper, 256));
     }
-    let rows = crate::campaign::cached_map(
-        "table1.row",
-        &cells,
-        |(name, local, remote, paper, outstanding)| {
-            format!(
-                "{{\"name\":{name:?},\"local\":{},\"remote\":{},\"paper\":{paper},\
-                 \"outstanding\":{outstanding},\"probe_accesses\":{},\"requests\":{}}}",
-                local.canonical_json(),
-                remote.canonical_json(),
-                scale.mio_accesses() / 10,
-                scale.mlc_requests()
-            )
-        },
-        |(name, local, remote, paper, outstanding)| {
-            let (llat, lbw) = measure(local, scale, *outstanding);
-            let (rlat, rbw) = measure(remote, scale, *outstanding);
-            Table1Row {
-                name: name.clone(),
-                local_lat_ns: llat,
-                local_bw_gbps: lbw,
-                remote_lat_ns: Some(rlat),
-                remote_bw_gbps: Some(rbw),
-                paper_lat_ns: *paper,
-            }
-        },
-    );
+    let rows = crate::exec::parallel_map(&cells, |(name, local, remote, paper, outstanding)| {
+        let (llat, lbw) = measure(local, scale, *outstanding);
+        let (rlat, rbw) = measure(remote, scale, *outstanding);
+        Table1Row {
+            name: name.clone(),
+            local_lat_ns: llat,
+            local_bw_gbps: lbw,
+            remote_lat_ns: Some(rlat),
+            remote_bw_gbps: Some(rbw),
+            paper_lat_ns: *paper,
+        }
+    });
     Table1Data { rows }
 }
 

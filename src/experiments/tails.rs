@@ -40,12 +40,8 @@ pub struct CdfCell {
 
 /// Flattens a (config × threads) sweep into one parallel work list,
 /// preserving the serial nested-loop order (configs outer, threads
-/// inner). `domain` keys the per-figure result-cache namespace and
-/// `params` the figure-level knobs that go into each cell fingerprint
-/// alongside the device spec and thread count.
+/// inner).
 fn sweep_cells(
-    domain: &str,
-    params: &str,
     configs: &[DeviceSpec],
     threads: &[usize],
     cell: impl Fn(&DeviceSpec, usize) -> CdfCell + Sync,
@@ -54,48 +50,31 @@ fn sweep_cells(
         .iter()
         .flat_map(|spec| threads.iter().map(move |&n| (spec, n)))
         .collect();
-    crate::campaign::cached_map(
-        domain,
-        &flat,
-        |(spec, n)| {
-            format!(
-                "{{\"spec\":{},\"threads\":{n},\"params\":{params}}}",
-                spec.canonical_json()
-            )
-        },
-        |(spec, n)| cell(spec, *n),
-    )
+    crate::exec::parallel_map(&flat, |(spec, n)| cell(spec, *n))
 }
 
 /// Figure 3b: pointer-chase latency CDFs under 1–32 co-located chase
 /// threads, prefetchers off.
 pub fn fig03b(scale: Scale) -> Vec<CdfCell> {
     let threads = [1usize, 2, 4, 8, 16, 32];
-    let params = format!("{{\"accesses\":{}}}", scale.mio_accesses());
-    sweep_cells(
-        "mio.fig03b",
-        &params,
-        &standard_configs(),
-        &threads,
-        |spec, n| {
-            let r = mio::run(
-                spec,
-                &MioConfig {
-                    chase_threads: n,
-                    accesses: scale.mio_accesses(),
-                    ..MioConfig::default()
-                },
-            );
-            CdfCell {
-                config: spec.name(),
-                threads: n,
-                cdf: r.latency.cdf_points(),
-                p50: r.latency.percentile(50.0),
-                p999: r.latency.percentile(99.9),
-                gap: r.tail_gap_ns,
-            }
-        },
-    )
+    sweep_cells(&standard_configs(), &threads, |spec, n| {
+        let r = mio::run(
+            spec,
+            &MioConfig {
+                chase_threads: n,
+                accesses: scale.mio_accesses(),
+                ..MioConfig::default()
+            },
+        );
+        CdfCell {
+            config: spec.name(),
+            threads: n,
+            cdf: r.latency.cdf_points(),
+            p50: r.latency.percentile(50.0),
+            p999: r.latency.percentile(99.9),
+            gap: r.tail_gap_ns,
+        }
+    })
 }
 
 /// Figure 3c: (p99.9 − p50) tail gap vs achieved bandwidth utilization.
@@ -111,14 +90,7 @@ pub fn fig03c(scale: Scale) -> Vec<Series> {
         ("CXL-D", 46.0),
     ];
     let noise_steps = [0usize, 1, 2, 3, 5, 8, 12, 20];
-    let key = |spec: &DeviceSpec| {
-        format!(
-            "{{\"spec\":{},\"noise_steps\":{noise_steps:?},\"accesses\":{}}}",
-            spec.canonical_json(),
-            scale.mio_accesses()
-        )
-    };
-    crate::campaign::cached_map("mio.pressure", &standard_configs(), key, |spec| {
+    crate::exec::parallel_map(&standard_configs(), |spec| {
         let pts = mio::bandwidth_pressure_sweep(spec, &noise_steps, scale.mio_accesses());
         let peak = peaks
             .iter()
@@ -136,35 +108,25 @@ pub fn fig03c(scale: Scale) -> Vec<Series> {
 /// Figure 4: latency CDFs under 0–7 background read/write noise threads.
 pub fn fig04(scale: Scale) -> Vec<CdfCell> {
     let noise = [0usize, 1, 3, 5, 7];
-    let params = format!(
-        "{{\"accesses\":{},\"noise_read_frac\":0.6}}",
-        scale.mio_accesses()
-    );
-    sweep_cells(
-        "mio.fig04",
-        &params,
-        &standard_configs(),
-        &noise,
-        |spec, n| {
-            let r = mio::run(
-                spec,
-                &MioConfig {
-                    noise_threads: n,
-                    noise_read_frac: 0.6,
-                    accesses: scale.mio_accesses(),
-                    ..MioConfig::default()
-                },
-            );
-            CdfCell {
-                config: spec.name(),
-                threads: n,
-                cdf: r.latency.cdf_points(),
-                p50: r.latency.percentile(50.0),
-                p999: r.latency.percentile(99.9),
-                gap: r.tail_gap_ns,
-            }
-        },
-    )
+    sweep_cells(&standard_configs(), &noise, |spec, n| {
+        let r = mio::run(
+            spec,
+            &MioConfig {
+                noise_threads: n,
+                noise_read_frac: 0.6,
+                accesses: scale.mio_accesses(),
+                ..MioConfig::default()
+            },
+        );
+        CdfCell {
+            config: spec.name(),
+            threads: n,
+            cdf: r.latency.cdf_points(),
+            p50: r.latency.percentile(50.0),
+            p999: r.latency.percentile(99.9),
+            gap: r.tail_gap_ns,
+        }
+    })
 }
 
 /// Figure 6: chase latency CDFs with CPU prefetchers *on*, via the core
@@ -172,46 +134,39 @@ pub fn fig04(scale: Scale) -> Vec<CdfCell> {
 /// engage (matching the lower observed latencies of the paper's figure).
 pub fn fig06(scale: Scale) -> Vec<CdfCell> {
     let threads = [1usize, 2, 4, 8, 16, 32];
-    let params = format!("{{\"accesses\":{}}}", scale.mio_accesses());
-    sweep_cells(
-        "core.fig06",
-        &params,
-        &standard_configs(),
-        &threads,
-        |spec, n| {
-            let mut cfg = CoreConfig::new(Platform::emr2s().smp_scaled(n as u32));
-            cfg.prefetchers = true;
-            let mut rng = SimRng::seed_from(0xF1606 ^ n as u64);
-            let accesses = (scale.mio_accesses() / 4).max(5_000);
-            // Mostly sequential walk with occasional random jumps: the
-            // prefetcher-friendly pattern the paper's Figure 6 probes.
-            let mut line = 0u64;
-            let stream: Vec<Slot> = (0..accesses)
-                .map(|_| {
-                    if rng.chance(0.05) {
-                        line = rng.below(1 << 24);
-                    } else {
-                        line += 1;
-                    }
-                    Slot::Load {
-                        addr: line * 64,
-                        dependent: true,
-                    }
-                })
-                .collect();
-            let core = Core::new(cfg, spec.build(0xF1606));
-            let r = core.run(stream);
-            let h = &r.dep_load_hist;
-            CdfCell {
-                config: spec.name(),
-                threads: n,
-                cdf: h.cdf_points(),
-                p50: h.percentile(50.0),
-                p999: h.percentile(99.9),
-                gap: h.percentile_gap(50.0, 99.9),
-            }
-        },
-    )
+    sweep_cells(&standard_configs(), &threads, |spec, n| {
+        let mut cfg = CoreConfig::new(Platform::emr2s().smp_scaled(n as u32));
+        cfg.prefetchers = true;
+        let mut rng = SimRng::seed_from(0xF1606 ^ n as u64);
+        let accesses = (scale.mio_accesses() / 4).max(5_000);
+        // Mostly sequential walk with occasional random jumps: the
+        // prefetcher-friendly pattern the paper's Figure 6 probes.
+        let mut line = 0u64;
+        let stream: Vec<Slot> = (0..accesses)
+            .map(|_| {
+                if rng.chance(0.05) {
+                    line = rng.below(1 << 24);
+                } else {
+                    line += 1;
+                }
+                Slot::Load {
+                    addr: line * 64,
+                    dependent: true,
+                }
+            })
+            .collect();
+        let core = Core::new(cfg, spec.build(0xF1606));
+        let r = core.run(stream);
+        let h = &r.dep_load_hist;
+        CdfCell {
+            config: spec.name(),
+            threads: n,
+            cdf: h.cdf_points(),
+            p50: h.percentile(50.0),
+            p999: h.percentile(99.9),
+            gap: h.percentile_gap(50.0, 99.9),
+        }
+    })
 }
 
 /// Summarises a cell list as a table: one row per (config, threads).

@@ -13,7 +13,7 @@
 //! page is a real 4 KiB read+write request stream competing with demand
 //! traffic — so a policy that migrates too eagerly pays for it.
 
-use melody_cpu::Platform;
+use melody_cpu::{Fidelity, Platform, SamplingParams};
 use melody_mem::{presets, DeviceSpec, PolicyKind, TieringConfig, POLICIES};
 use melody_workloads::{Pattern, Phase, Suite, WorkloadSpec};
 use serde::{Deserialize, Serialize};
@@ -126,17 +126,20 @@ impl TieringData {
 }
 
 /// Runs the per-policy comparison on skx2s (the smallest L3, so the
-/// phased hot sets overflow cache) over CXL-B. Every policy sees the
+/// phased hot sets overflow cache) over CXL-B at the given `fidelity`
+/// tier (`sampling` schedules the sampled tier). Every policy sees the
 /// identical slot stream; tier telemetry is captured privately per
 /// policy so migration counts land in the rows whatever the process
 /// telemetry mode is.
-pub fn run(scale: Scale) -> TieringData {
+pub fn run(scale: Scale, fidelity: Fidelity, sampling: SamplingParams) -> TieringData {
     let platform = Platform::skx2s();
     let local = crate::campaign::local_for_platform(&platform);
     let cxl = presets::cxl_b();
     let w = phased_workload();
     let opts = RunOptions {
         mem_refs: scale.mem_refs() * 8,
+        fidelity,
+        sampling,
         ..Default::default()
     };
     let cells: Vec<&str> = POLICIES.to_vec();
@@ -170,7 +173,7 @@ mod tests {
 
     #[test]
     fn adaptive_policies_beat_static_and_never_local() {
-        let d = run(Scale::Smoke);
+        let d = run(Scale::Smoke, Fidelity::Detailed, SamplingParams::default());
         let staticr = d.row("static").expect("static row");
         assert_eq!(staticr.migrations, 0, "static never migrates");
         assert!(

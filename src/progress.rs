@@ -14,7 +14,7 @@
 //! is `None` and renders as `n/a`, never a fabricated number.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -204,25 +204,6 @@ pub fn eta_ms(total: usize, done: usize, elapsed_ns: u64, window: &[u64]) -> Opt
     };
     let eta_ns = remaining / cells_per_ns;
     Some((eta_ns / 1e6).ceil() as u64)
-}
-
-/// Process-wide heartbeat flag, wired to `--progress` on direct
-/// `melody campaign` / `run` invocations the same way `exec`'s globals
-/// are wired to their flags. Off by default: the heartbeat thread is
-/// never spawned and output stays byte-identical.
-static HEARTBEAT: AtomicU64 = AtomicU64::new(0);
-
-/// Enables the stderr progress heartbeat with the given period (ms).
-pub fn set_heartbeat_ms(ms: u64) {
-    HEARTBEAT.store(ms, Ordering::Relaxed);
-}
-
-/// The heartbeat period, if `--progress` enabled one.
-pub fn heartbeat_ms() -> Option<u64> {
-    match HEARTBEAT.load(Ordering::Relaxed) {
-        0 => None,
-        ms => Some(ms),
-    }
 }
 
 #[cfg(test)]

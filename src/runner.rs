@@ -37,8 +37,8 @@ impl Default for RunOptions {
             seed: 42,
             sample_interval_ns: None,
             prefetchers: true,
-            fidelity: crate::exec::fidelity(),
-            sampling: crate::exec::sampling(),
+            fidelity: Fidelity::Detailed,
+            sampling: SamplingParams::default(),
         }
     }
 }
@@ -265,11 +265,7 @@ pub fn run_population(
 /// Each (workload, device-pair) cell derives its RNG seed from the cell
 /// identity alone (`workload_seed`), and cells share no mutable state,
 /// so the result is byte-identical to [`run_population`] — same values,
-/// same order — for any worker count. When a process-wide result cache
-/// is installed ([`crate::cache::set_global`]), previously simulated
-/// cells load from it instead of re-running (see
-/// [`crate::campaign::cached_map`]); without one this is a plain
-/// parallel map.
+/// same order — for any worker count.
 pub fn run_population_par(
     platform: &Platform,
     local_spec: &DeviceSpec,
@@ -278,12 +274,9 @@ pub fn run_population_par(
     opts: &RunOptions,
 ) -> Vec<PairOutcome> {
     let _span = melody_telemetry::span("population");
-    crate::campaign::cached_map(
-        "pair",
-        workloads,
-        |w| crate::campaign::pair_config_json(platform, local_spec, target_spec, w, opts),
-        |w| run_pair(platform, local_spec, target_spec, w, opts),
-    )
+    crate::exec::parallel_map(workloads, |w| {
+        run_pair(platform, local_spec, target_spec, w, opts)
+    })
 }
 
 /// [`run_population_par`] with per-cell panic isolation: a workload that

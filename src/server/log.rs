@@ -6,10 +6,9 @@
 //! object per line (`--log json`), each event carrying a stable event
 //! name plus `key=value` fields (job ids, durations).
 //!
-//! Format and minimum level are process-global atomics, matching how
-//! `exec`'s `--jobs` / `--fidelity` settings are wired: `melody serve
-//! --log json` sets them once at startup, everything else just calls
-//! [`log`]. Text output is exactly `melody-serve: {message}` (with a
+//! Format and minimum level are process-global atomics, like `exec`'s
+//! `--jobs` worker count: `melody serve --log json` sets them once at
+//! startup, everything else just calls [`log`]. Text output is exactly `melody-serve: {message}` (with a
 //! `warning: ` prefix at [`Level::Warn`]), so default-format stderr is
 //! unchanged from the pre-logging server.
 

@@ -537,3 +537,57 @@ fn corrupted_cache_entries_are_misses_never_panics() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Pins the cell fingerprints of every campaign spec under `datasets/`:
+/// the fingerprint of each spec's ordered cell keys must equal the value
+/// recorded when the pin was written. Any cache-key drift — a changed
+/// key recipe, a new default, a reordered expansion — fails here, so a
+/// refactor that keeps this test green keeps every existing cache entry
+/// reachable. `grid_fidelity.json` is pinned as written and at each
+/// reduced tier.
+#[test]
+fn dataset_cell_fingerprints_are_pinned() {
+    let cases: [(&str, Option<&str>, &str); 6] = [
+        ("grid_quick.json", None, "0ee76a5e3673bbb9e329f83d39160c7d"),
+        (
+            "grid_tiering.json",
+            None,
+            "9722dafc572c53b89ff02a6b5607dcb4",
+        ),
+        (
+            "grid_topology.json",
+            None,
+            "2ca70cc695a14d6d63487e087d32fe09",
+        ),
+        (
+            "grid_fidelity.json",
+            None,
+            "94ee5e690cfd4d2178d7ebd70eadbd65",
+        ),
+        (
+            "grid_fidelity.json",
+            Some("sampled"),
+            "b812c05a758983d908cf347bee78f475",
+        ),
+        (
+            "grid_fidelity.json",
+            Some("fast"),
+            "a8fa7088667af530343aa9ce92f30da4",
+        ),
+    ];
+    let mut drift = Vec::new();
+    for (file, fidelity, pinned) in cases {
+        let path = format!("{}/datasets/{file}", env!("CARGO_MANIFEST_DIR"));
+        let mut spec = CampaignSpec::load(&path).expect("dataset spec loads");
+        if let Some(f) = fidelity {
+            spec.fidelity = Some(f.to_string());
+        }
+        let cells = spec.expand().expect("dataset spec expands");
+        let keys: Vec<&str> = cells.iter().map(|c| c.key.as_str()).collect();
+        let got = fingerprint(&keys);
+        if got != pinned {
+            drift.push(format!("{file} {fidelity:?}: {got}"));
+        }
+    }
+    assert!(drift.is_empty(), "cell keys drifted:\n{}", drift.join("\n"));
+}

@@ -449,10 +449,36 @@ fn unparseable_numeric_flags_exit_2() {
     let path = tmp("numeric-flag.json");
     std::fs::write(&path, "{\"a\": 1}").expect("write json");
     let json = path.to_str().expect("utf8");
-    let cases: [(&[&str], &str); 3] = [
+    let spec_path = tmp("numeric-flag-spec.json");
+    std::fs::write(
+        &spec_path,
+        r#"{"name":"n","platforms":["emr2s"],"devices":["cxl-a"],"workloads":["541.leela"],"mem_refs":2000}"#,
+    )
+    .expect("write spec");
+    let spec = spec_path.to_str().expect("utf8");
+    let cases: [(&[&str], &str); 6] = [
         (
             &["run", "605.mcf", "cxl-b", "--refs", "8k"],
             "--refs expects an integer, got 8k",
+        ),
+        (
+            &["serve", "--port", "abc"],
+            "--port expects a port number, got abc",
+        ),
+        (
+            &["serve", "--deadline-ms", "soon", "--port", "0"],
+            "--deadline-ms expects an integer, got soon",
+        ),
+        (
+            &[
+                "submit",
+                spec,
+                "--server",
+                "127.0.0.1:9",
+                "--deadline-ms",
+                "soon",
+            ],
+            "--deadline-ms expects an integer, got soon",
         ),
         (
             &["diff", json, json, "--rel-tol", "bogus"],
@@ -478,4 +504,136 @@ fn unparseable_numeric_flags_exit_2() {
         assert!(stderr.contains(message), "{args:?}: {stderr}");
     }
     let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&spec_path);
+}
+
+/// A flag `melody` does not know, a flag the command does not read, and
+/// a flag missing its value each exit 2 naming the flag, instead of
+/// running a different experiment than the one asked for.
+#[test]
+fn misspelled_unread_and_valueless_flags_exit_2() {
+    let cache = tmp("unread-cache");
+    let out_path = tmp("unread-trace.json");
+    let cases: [(&[&str], &str); 4] = [
+        (&["run", "605.mcf", "cxl-b", "--ref", "8000"], "--ref"),
+        (&["run", "605.mcf", "cxl-b", "--refs"], "--refs"),
+        (&["probe", "cxl-b", "--fauls", "crc-storm"], "--fauls"),
+        (
+            &[
+                "trace",
+                "cxl-b",
+                "--cache",
+                cache.to_str().expect("utf8"),
+                "--out",
+                out_path.to_str().expect("utf8"),
+            ],
+            "--cache",
+        ),
+    ];
+    for (args, flag) in cases {
+        let out = melody().args(args).output().expect("run melody");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+    let _ = std::fs::remove_dir_all(&cache);
+    let _ = std::fs::remove_file(&out_path);
+}
+
+/// `serve` runs every spec as written, so it takes no `--fidelity`: the
+/// flag exits 2 instead of silently changing what each unset spec means.
+#[test]
+fn serve_rejects_fidelity_with_exit_2() {
+    use std::io::{BufRead as _, BufReader, Read as _};
+    use std::process::Stdio;
+
+    let state = tmp("serve-fidelity-state");
+    let mut child = melody()
+        .args([
+            "serve",
+            "--fidelity",
+            "sampled",
+            "--port",
+            "0",
+            "--state-dir",
+            state.to_str().expect("utf8"),
+            "--no-cache",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn melody serve");
+    let mut banner = String::new();
+    BufReader::new(child.stdout.take().expect("stdout"))
+        .read_line(&mut banner)
+        .expect("read banner");
+    if let Some(addr) = banner.trim().strip_prefix("melody-serve: listening on ") {
+        // The server started: shut it down before failing, so the test
+        // never leaves it running.
+        let _ = melody().args(["drain", "--server", addr]).output();
+        let _ = child.wait();
+        let _ = std::fs::remove_dir_all(&state);
+        panic!("serve accepted --fidelity and started on {addr}");
+    }
+    let status = child.wait().expect("serve exits");
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("stderr")
+        .read_to_string(&mut stderr)
+        .expect("read stderr");
+    let _ = std::fs::remove_dir_all(&state);
+    assert_eq!(status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--fidelity"), "{stderr}");
+}
+
+/// On `campaign`, `--fidelity` fills only what the spec leaves unset: a
+/// spec without a fidelity run with `--fidelity fast` is byte-identical
+/// to the same spec with `"fidelity": "fast"` written in.
+#[test]
+fn campaign_fidelity_flag_equals_the_spec_field() {
+    let plain = tmp("fidelity-flag-plain.json");
+    let written = tmp("fidelity-flag-written.json");
+    let grid = r#""platforms":["emr2s"],"devices":["cxl-a","cxl-b"],"workloads":["605.mcf","541.leela"],"mem_refs":4000"#;
+    std::fs::write(&plain, format!(r#"{{"name":"fid",{grid}}}"#)).expect("write spec");
+    std::fs::write(
+        &written,
+        format!(r#"{{"name":"fid",{grid},"fidelity":"fast"}}"#),
+    )
+    .expect("write spec");
+    let run = |spec: &std::path::Path, extra: &[&str]| {
+        let out = melody()
+            .args([
+                "campaign",
+                spec.to_str().expect("utf8"),
+                "--no-cache",
+                "--json",
+            ])
+            .args(extra)
+            .output()
+            .expect("run melody");
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    let by_flag = run(&plain, &["--fidelity", "fast"]);
+    let by_spec = run(&written, &[]);
+    assert!(!by_flag.is_empty());
+    assert_eq!(
+        String::from_utf8_lossy(&by_flag),
+        String::from_utf8_lossy(&by_spec)
+    );
+    // The spec wins over the flag: a written fidelity is not overridden.
+    assert_eq!(
+        String::from_utf8_lossy(&run(&written, &["--fidelity", "detailed"])),
+        String::from_utf8_lossy(&by_spec)
+    );
+    let _ = std::fs::remove_file(&plain);
+    let _ = std::fs::remove_file(&written);
 }

@@ -31,6 +31,7 @@ fn interrupted_sweep_resumes_byte_identical() {
         &cells,
         &mut Journal::in_memory(),
         None,
+        None,
         &CellPolicy::default(),
     );
     let reference = serde_json::to_string(&uninterrupted).expect("serialize reference");
@@ -45,6 +46,7 @@ fn interrupted_sweep_resumes_byte_identical() {
             Scale::Smoke,
             &cells,
             &mut journal,
+            None,
             Some(2),
             &CellPolicy::default(),
         );
@@ -60,6 +62,7 @@ fn interrupted_sweep_resumes_byte_identical() {
         Scale::Smoke,
         &cells,
         &mut journal,
+        None,
         None,
         &CellPolicy::default(),
     );
@@ -83,6 +86,7 @@ fn panicking_cell_leaves_the_rest_of_the_sweep_intact() {
         Scale::Smoke,
         &cells,
         &mut Journal::in_memory(),
+        None,
         None,
         &CellPolicy::default(),
     );
@@ -113,6 +117,7 @@ fn retry_policy_is_applied_per_cell() {
         Scale::Smoke,
         &cells,
         &mut Journal::in_memory(),
+        None,
         None,
         &CellPolicy::default().with_attempts(3),
     );
