@@ -93,6 +93,20 @@ impl DeviceStats {
         self.last_completion = self.last_completion.max(completion);
     }
 
+    /// Adds `other`'s counters, as a device reports the parts behind it:
+    /// `first_issue` becomes the earliest among the parts that served
+    /// anything.
+    pub fn merge(&mut self, other: &DeviceStats) {
+        if other.requests() > 0 && (self.requests() == 0 || other.first_issue < self.first_issue) {
+            self.first_issue = other.first_issue;
+        }
+        self.reads += other.reads;
+        self.writes += other.writes;
+        self.total_read_latency_ps += other.total_read_latency_ps;
+        self.last_completion = self.last_completion.max(other.last_completion);
+        self.ras.merge(&other.ras);
+    }
+
     /// Total requests served.
     pub fn requests(&self) -> u64 {
         self.reads + self.writes

@@ -23,7 +23,11 @@
 //!
 //! Devices are described by a serialisable [`DeviceSpec`] and instantiated
 //! per run with [`DeviceSpec::build`]; presets mirroring the paper's
-//! Table 1 testbed live in [`presets`].
+//! Table 1 testbed live in [`presets`]. Every composition of devices — a
+//! NUMA or switch hop, an interleave set, an address-range split, a CXL
+//! switch — builds one [`CompositeDevice`]: built children, a route, and
+//! an optional link. Only [`TieredDevice`] (page residency that moves
+//! every epoch) and [`CpmuDevice`] (an observer) wrap devices otherwise.
 //!
 //! # Example
 //!
@@ -39,6 +43,7 @@
 
 #![warn(missing_docs)]
 
+mod composite;
 mod cpmu;
 mod cxl;
 mod device;
@@ -52,24 +57,22 @@ pub mod presets;
 pub mod probe;
 mod request;
 mod spec;
-mod split;
 mod switch;
 mod telemetry_hooks;
 mod tiering;
 pub mod topology;
 
+pub use composite::CompositeDevice;
 pub use cpmu::{CpmuDevice, CpmuReport};
 pub use cxl::{CxlConfig, CxlDevice, ThermalConfig};
 pub use device::{AccessBreakdown, DeviceStats, MemoryDevice};
 pub use dram::{DramBackend, DramTiming};
 pub use faults::{FaultConfig, FaultSchedule, RasCounters};
 pub use imc::{ImcConfig, ImcDevice};
-pub use interleave::InterleavedDevice;
-pub use numa::{NumaHopConfig, NumaHopDevice};
+pub use numa::NumaHopConfig;
 pub use policy::{GuideWindow, PolicyKind, TieringConfig, POLICIES};
 pub use request::{MemRequest, RequestKind};
 pub use spec::{AnalyticProfile, DeviceSpec, SPEC_SCHEMA_VERSION};
-pub use split::SplitDevice;
-pub use switch::{SwitchConfig, SwitchDevice};
+pub use switch::SwitchConfig;
 pub use tiering::{TierCounters, TieredDevice};
 pub use topology::{Fabric, TopoEdge, TopoNode, TopologySpec};

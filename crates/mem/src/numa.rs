@@ -1,4 +1,5 @@
-//! Cross-socket (NUMA) hop, composable over any inner device.
+//! Cross-socket (NUMA) hop parameters, composable over any inner device
+//! through [`crate::CompositeDevice::hop`].
 //!
 //! Plain NUMA memory in the paper is stable (p99.9−p50 ≈ 61 ns) — the UPI
 //! hop adds latency and caps bandwidth but introduces little variance. The
@@ -11,11 +12,8 @@
 //! Reducing workload intensity reduces bursts and shrinks the tail — the
 //! same load-scaling behaviour the paper demonstrates.
 
-use melody_sim::{Dist, SimRng, SimTime};
+use melody_sim::Dist;
 use serde::{Deserialize, Serialize};
-
-use crate::device::{AccessBreakdown, DeviceStats, MemoryDevice};
-use crate::request::MemRequest;
 
 /// Configuration of a cross-socket hop.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -81,153 +79,21 @@ impl NumaHopConfig {
     }
 }
 
-/// A device reached through a cross-socket hop.
-pub struct NumaHopDevice {
-    cfg: NumaHopConfig,
-    inner: Box<dyn MemoryDevice>,
-    rng: SimRng,
-    name: String,
-    upi_read: melody_sim::ServerPool,
-    upi_write: melody_sim::ServerPool,
-    congestion_until: SimTime,
-    next_window_allowed: SimTime,
-    last_arrival: SimTime,
-    stats: DeviceStats,
-}
-
-impl NumaHopDevice {
-    /// Renames the hop suffix (default `"NUMA"`; a switch hop uses
-    /// `"Switch"`).
-    pub fn set_label(&mut self, label: &str) {
-        self.name = format!("{}+{}", self.inner.name(), label);
-    }
-
-    /// Wraps `inner` behind the hop.
-    pub fn new(cfg: NumaHopConfig, inner: Box<dyn MemoryDevice>, seed: u64) -> Self {
-        let name = format!("{}+NUMA", inner.name());
-        Self {
-            cfg,
-            inner,
-            rng: SimRng::seed_from(seed),
-            name,
-            upi_read: melody_sim::ServerPool::new(1),
-            upi_write: melody_sim::ServerPool::new(1),
-            congestion_until: 0,
-            next_window_allowed: 0,
-            last_arrival: 0,
-            stats: DeviceStats::default(),
-        }
-    }
-}
-
-impl MemoryDevice for NumaHopDevice {
-    fn access(&mut self, req: &MemRequest) -> AccessBreakdown {
-        let half_extra = (self.cfg.extra_ns * 500.0) as SimTime;
-        let mut spike_ps = 0;
-        let mut t = req.issue;
-
-        // Burst-triggered congestion on the coupled links. Window
-        // openings are rate-limited by the credit recovery time, so
-        // sustained saturation pays a bounded throughput tax while each
-        // *burst* still risks a full window of delay.
-        let ia = t.saturating_sub(self.last_arrival);
-        self.last_arrival = t;
-        if self.cfg.burst_congestion_p > 0.0
-            && t >= self.next_window_allowed
-            && ia < (self.cfg.burst_ia_ns * 1_000.0) as SimTime
-            && self.rng.chance(self.cfg.burst_congestion_p)
-        {
-            let w = (self.cfg.congestion_window_ns.sample(&mut self.rng) * 1_000.0) as SimTime;
-            self.congestion_until = t + w;
-            self.next_window_allowed = t + (self.cfg.window_min_gap_ns * 1_000.0) as SimTime;
-        }
-        if t < self.congestion_until {
-            spike_ps += self.congestion_until - t;
-            t = self.congestion_until;
-        }
-
-        // UPI serialization: the socket interconnect is full-duplex, so
-        // read payloads (device -> requester) and write payloads occupy
-        // independent directions, each at the measured per-direction
-        // bandwidth.
-        let service = (64.0 / self.cfg.upi_gbps * 1_000.0) as SimTime;
-        let (start, done) = if req.kind.is_read() {
-            self.upi_read.submit(t, service)
-        } else {
-            self.upi_write.submit(t, service)
-        };
-        let queue_hop = start - t;
-
-        // Inner device sees the request after half the extra latency.
-        let inner_req = MemRequest {
-            issue: done + half_extra,
-            ..*req
-        };
-        let inner = self.inner.access(&inner_req);
-        let completion = inner.completion + half_extra;
-
-        let out = AccessBreakdown {
-            completion,
-            queue_ps: inner.queue_ps + queue_hop,
-            dram_ps: inner.dram_ps,
-            fabric_ps: inner.fabric_ps + half_extra * 2 + service,
-            spike_ps: inner.spike_ps + spike_ps,
-            row_hit: inner.row_hit,
-            poisoned: inner.poisoned,
-            node: inner.node,
-        };
-        self.stats.record(req, completion);
-        out
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn nominal_latency_ns(&self) -> f64 {
-        self.inner.nominal_latency_ns() + self.cfg.extra_ns
-    }
-
-    fn stats(&self) -> DeviceStats {
-        // The hop keeps its own traffic counters, but RAS events happen
-        // in the device behind it.
-        let mut s = self.stats;
-        s.ras = self.inner.stats().ras;
-        s
-    }
-
-    fn fast_forward(&mut self, now: melody_sim::SimTime) {
-        self.inner.fast_forward(now);
-    }
-
-    fn wants_slot_observations(&self) -> bool {
-        self.inner.wants_slot_observations()
-    }
-
-    fn observe_slot(&mut self, addr: u64, is_store: bool, now: melody_sim::SimTime) {
-        self.inner.observe_slot(addr, is_store, now);
-    }
-}
-
-impl std::fmt::Debug for NumaHopDevice {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NumaHopDevice")
-            .field("name", &self.name)
-            .field("extra_ns", &self.cfg.extra_ns)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dram::DramTiming;
     use crate::imc::{ImcConfig, ImcDevice};
-    use crate::request::RequestKind;
+    use crate::request::{MemRequest, RequestKind};
+    use crate::{CompositeDevice, MemoryDevice};
 
-    fn remote_dram() -> NumaHopDevice {
+    fn hop_over_dram(cfg: NumaHopConfig, seed: u64) -> CompositeDevice {
         let imc = ImcDevice::new(ImcConfig::calibrated("Local", 111.0, DramTiming::ddr5(), 8));
-        NumaHopDevice::new(NumaHopConfig::plain(82.0, 120.0), Box::new(imc), 1)
+        CompositeDevice::hop(cfg, "NUMA", Box::new(imc), seed)
+    }
+
+    fn remote_dram() -> CompositeDevice {
+        hop_over_dram(NumaHopConfig::plain(82.0, 120.0), 1)
     }
 
     #[test]
@@ -258,8 +124,7 @@ mod tests {
 
     #[test]
     fn coupled_hop_amplifies_bursty_tails() {
-        let imc = ImcDevice::new(ImcConfig::calibrated("Local", 111.0, DramTiming::ddr5(), 8));
-        let mut dev = NumaHopDevice::new(NumaHopConfig::cxl_coupled(161.0, 14.0), Box::new(imc), 2);
+        let mut dev = hop_over_dram(NumaHopConfig::cxl_coupled(161.0, 14.0), 2);
         let mut big_spikes = 0u64;
         for i in 0..20_000u64 {
             let t = (i / 8) * 4_000_000 + (i % 8) * 30_000; // bursts of 8, 30 ns apart
@@ -276,12 +141,8 @@ mod tests {
 
     #[test]
     fn lower_intensity_reduces_congestion() {
-        let make = || {
-            let imc = ImcDevice::new(ImcConfig::calibrated("Local", 111.0, DramTiming::ddr5(), 8));
-            NumaHopDevice::new(NumaHopConfig::cxl_coupled(161.0, 14.0), Box::new(imc), 3)
-        };
         let spikes_at = |burst: u64, gap: u64| {
-            let mut dev = make();
+            let mut dev = hop_over_dram(NumaHopConfig::cxl_coupled(161.0, 14.0), 3);
             let mut spikes = 0u64;
             for i in 0..20_000u64 {
                 let t = (i / burst) * gap + (i % burst) * 30_000;

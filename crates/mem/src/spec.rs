@@ -2,15 +2,14 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::composite::CompositeDevice;
 use crate::cxl::{CxlConfig, CxlDevice};
 use crate::device::MemoryDevice;
 use crate::faults::FaultConfig;
 use crate::imc::{ImcConfig, ImcDevice};
-use crate::interleave::InterleavedDevice;
-use crate::numa::{NumaHopConfig, NumaHopDevice};
+use crate::numa::NumaHopConfig;
 use crate::policy::{PolicyKind, TieringConfig};
-use crate::split::SplitDevice;
-use crate::switch::{SwitchConfig, SwitchDevice};
+use crate::switch::SwitchConfig;
 use crate::tiering::TieredDevice;
 
 /// A declarative, serialisable description of a memory backend.
@@ -81,7 +80,7 @@ pub enum DeviceSpec {
     /// Several devices behind a CXL switch: interleaved like
     /// [`DeviceSpec::Interleaved`], but every request also crosses the
     /// switch's shared, credit-limited upstream link, so siblings contend
-    /// (see [`crate::SwitchDevice`]). Produced by lowering topology specs
+    /// (see [`CompositeDevice::switch`]). Produced by lowering topology specs
     /// with `switch` nodes ([`crate::topology::TopologySpec`]).
     Switch {
         /// Shared upstream port parameters.
@@ -115,28 +114,31 @@ impl DeviceSpec {
 
     /// Instantiates a fresh device with deterministic `seed`.
     pub fn build(&self, seed: u64) -> Box<dyn MemoryDevice> {
+        // Children of the same composite get distinct seed offsets.
+        let build_parts = |parts: &[DeviceSpec], offset: u64| {
+            parts
+                .iter()
+                .enumerate()
+                .map(|(i, p)| p.build(seed.wrapping_add(offset + i as u64)))
+                .collect()
+        };
         match self {
             DeviceSpec::Imc(cfg) => Box::new(ImcDevice::new(cfg.clone())),
             DeviceSpec::Cxl(cfg) => Box::new(CxlDevice::new(cfg.clone(), seed)),
-            DeviceSpec::Hopped { hop, label, inner } => {
-                let inner_dev = inner.build(seed.wrapping_add(1));
-                let mut dev = NumaHopDevice::new(hop.clone(), inner_dev, seed);
-                dev.set_label(label);
-                Box::new(dev)
-            }
-            DeviceSpec::Interleaved { granularity, parts } => {
-                let built = parts
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| p.build(seed.wrapping_add(100 + i as u64)))
-                    .collect();
-                Box::new(InterleavedDevice::new(built, *granularity))
-            }
+            DeviceSpec::Hopped { hop, label, inner } => Box::new(CompositeDevice::hop(
+                hop.clone(),
+                label,
+                inner.build(seed.wrapping_add(1)),
+                seed,
+            )),
+            DeviceSpec::Interleaved { granularity, parts } => Box::new(
+                CompositeDevice::interleaved(build_parts(parts, 100), *granularity),
+            ),
             DeviceSpec::Split {
                 boundary,
                 fast,
                 slow,
-            } => Box::new(SplitDevice::new(
+            } => Box::new(CompositeDevice::split(
                 fast.build(seed.wrapping_add(2)),
                 slow.build(seed.wrapping_add(3)),
                 *boundary,
@@ -155,14 +157,11 @@ impl DeviceSpec {
                 switch,
                 granularity,
                 parts,
-            } => {
-                let built = parts
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| p.build(seed.wrapping_add(200 + i as u64)))
-                    .collect();
-                Box::new(SwitchDevice::new(switch.clone(), *granularity, built))
-            }
+            } => Box::new(CompositeDevice::switch(
+                switch.clone(),
+                *granularity,
+                build_parts(parts, 200),
+            )),
         }
     }
 
@@ -189,22 +188,10 @@ impl DeviceSpec {
         }
     }
 
-    /// Nominal idle latency of the described device in ns.
+    /// Nominal idle latency of the described device in ns: its
+    /// [`AnalyticProfile::idle_latency_ns`].
     pub fn nominal_latency_ns(&self) -> f64 {
-        match self {
-            DeviceSpec::Imc(cfg) => cfg.idle_latency_ns(),
-            DeviceSpec::Cxl(cfg) => cfg.idle_latency_ns(),
-            DeviceSpec::Hopped { hop, inner, .. } => inner.nominal_latency_ns() + hop.extra_ns,
-            DeviceSpec::Interleaved { parts, .. } => {
-                parts.iter().map(|p| p.nominal_latency_ns()).sum::<f64>() / parts.len() as f64
-            }
-            DeviceSpec::Split { slow, .. } => slow.nominal_latency_ns(),
-            DeviceSpec::Tiered { slow, .. } => slow.nominal_latency_ns(),
-            DeviceSpec::Switch { switch, parts, .. } => {
-                parts.iter().map(|p| p.nominal_latency_ns()).sum::<f64>() / parts.len() as f64
-                    + switch.latency_ns
-            }
-        }
+        self.analytic_profile().idle_latency_ns
     }
 
     /// Wraps this spec behind the device-appropriate cross-socket hop
@@ -261,55 +248,28 @@ impl DeviceSpec {
     /// hop itself) are unchanged — faults model expander-side mechanisms.
     /// Applying an inert regime ([`FaultConfig::none`]) leaves device
     /// behaviour byte-identical to the unfaulted spec.
-    pub fn with_faults(self, faults: FaultConfig) -> DeviceSpec {
-        match self {
-            DeviceSpec::Cxl(mut cfg) => {
-                cfg.faults = Some(faults);
-                DeviceSpec::Cxl(cfg)
+    pub fn with_faults(mut self, faults: FaultConfig) -> DeviceSpec {
+        self.attach_faults(&faults);
+        self
+    }
+
+    fn attach_faults(&mut self, faults: &FaultConfig) {
+        let children: Vec<&mut DeviceSpec> = match self {
+            DeviceSpec::Imc(_) => vec![],
+            DeviceSpec::Cxl(cfg) => {
+                cfg.faults = Some(faults.clone());
+                vec![]
             }
-            DeviceSpec::Imc(cfg) => DeviceSpec::Imc(cfg),
-            DeviceSpec::Hopped { hop, label, inner } => DeviceSpec::Hopped {
-                hop,
-                label,
-                inner: Box::new(inner.with_faults(faults)),
-            },
-            DeviceSpec::Interleaved { granularity, parts } => DeviceSpec::Interleaved {
-                granularity,
-                parts: parts
-                    .into_iter()
-                    .map(|p| p.with_faults(faults.clone()))
-                    .collect(),
-            },
-            DeviceSpec::Split {
-                boundary,
-                fast,
-                slow,
-            } => DeviceSpec::Split {
-                boundary,
-                fast: Box::new(fast.with_faults(faults.clone())),
-                slow: Box::new(slow.with_faults(faults)),
-            },
-            DeviceSpec::Tiered {
-                tiering,
-                fast,
-                slow,
-            } => DeviceSpec::Tiered {
-                tiering,
-                fast: Box::new(fast.with_faults(faults.clone())),
-                slow: Box::new(slow.with_faults(faults)),
-            },
-            DeviceSpec::Switch {
-                switch,
-                granularity,
-                parts,
-            } => DeviceSpec::Switch {
-                switch,
-                granularity,
-                parts: parts
-                    .into_iter()
-                    .map(|p| p.with_faults(faults.clone()))
-                    .collect(),
-            },
+            DeviceSpec::Hopped { inner, .. } => vec![inner],
+            DeviceSpec::Interleaved { parts, .. } | DeviceSpec::Switch { parts, .. } => {
+                parts.iter_mut().collect()
+            }
+            DeviceSpec::Split { fast, slow, .. } | DeviceSpec::Tiered { fast, slow, .. } => {
+                vec![fast, slow]
+            }
+        };
+        for child in children {
+            child.attach_faults(faults);
         }
     }
 
@@ -365,57 +325,23 @@ impl DeviceSpec {
                 servers: cfg.sched_slots.max(1),
                 service_ns: cfg.sched_service_ns.mean(),
             },
-            DeviceSpec::Hopped { hop, inner, .. } => {
-                let p = inner.analytic_profile();
-                AnalyticProfile {
-                    idle_latency_ns: p.idle_latency_ns + hop.extra_ns,
-                    // The hop serializes on the socket interconnect; per
-                    // direction it cannot exceed the UPI/link bandwidth.
-                    total_gbps: p.total_gbps.min(hop.upi_gbps),
-                    servers: p.servers,
-                    service_ns: p.service_ns,
-                }
-            }
-            DeviceSpec::Interleaved { parts, .. } => {
-                let profiles: Vec<AnalyticProfile> =
-                    parts.iter().map(|p| p.analytic_profile()).collect();
-                let n = profiles.len().max(1) as f64;
-                AnalyticProfile {
-                    idle_latency_ns: profiles.iter().map(|p| p.idle_latency_ns).sum::<f64>() / n,
-                    total_gbps: profiles.iter().map(|p| p.total_gbps).sum(),
-                    servers: profiles.iter().map(|p| p.servers).sum::<usize>().max(1),
-                    service_ns: profiles.iter().map(|p| p.service_ns).sum::<f64>() / n,
-                }
-            }
+            DeviceSpec::Hopped { hop, inner, .. } => inner
+                .analytic_profile()
+                .behind_link(hop.extra_ns, hop.upi_gbps),
+            DeviceSpec::Interleaved { parts, .. } => AnalyticProfile::interleaved(parts),
             // Conservative: steady-state traffic is dominated by the
             // capacity tier (the slow device holds the bulk of the
             // address space), so the analytical model prices every access
-            // at the slow tier, consistent with `nominal_latency_ns`.
-            DeviceSpec::Split { slow, .. } => slow.analytic_profile(),
-            // Same argument as Split: the slow tier holds the bulk of
-            // the address space, so the closed-form model prices every
-            // access there — the adaptive policies only ever improve on
-            // that, consistent with `nominal_latency_ns`.
-            DeviceSpec::Tiered { slow, .. } => slow.analytic_profile(),
-            DeviceSpec::Switch { switch, parts, .. } => {
-                let profiles: Vec<AnalyticProfile> =
-                    parts.iter().map(|p| p.analytic_profile()).collect();
-                let n = profiles.len().max(1) as f64;
-                AnalyticProfile {
-                    idle_latency_ns: profiles.iter().map(|p| p.idle_latency_ns).sum::<f64>() / n
-                        + switch.latency_ns,
-                    // Aggregate capacity is whichever is tighter: the sum
-                    // of the downstream devices or the shared upstream
-                    // port they all squeeze through.
-                    total_gbps: profiles
-                        .iter()
-                        .map(|p| p.total_gbps)
-                        .sum::<f64>()
-                        .min(switch.upstream_gbps),
-                    servers: profiles.iter().map(|p| p.servers).sum::<usize>().max(1),
-                    service_ns: profiles.iter().map(|p| p.service_ns).sum::<f64>() / n,
-                }
+            // at the slow tier. The same holds under tiering: the
+            // adaptive policies only ever improve on that.
+            DeviceSpec::Split { slow, .. } | DeviceSpec::Tiered { slow, .. } => {
+                slow.analytic_profile()
             }
+            // Aggregate capacity is whichever is tighter: the sum of the
+            // downstream devices or the shared upstream port they all
+            // squeeze through.
+            DeviceSpec::Switch { switch, parts, .. } => AnalyticProfile::interleaved(parts)
+                .behind_link(switch.latency_ns, switch.upstream_gbps),
         }
     }
 }
@@ -432,6 +358,31 @@ pub struct AnalyticProfile {
     pub servers: usize,
     /// Mean service time per 64 B request at that station, ns.
     pub service_ns: f64,
+}
+
+impl AnalyticProfile {
+    /// Interleaved `parts`: mean latency and service time, summed
+    /// capacity and servers.
+    fn interleaved(parts: &[DeviceSpec]) -> Self {
+        let profiles: Vec<AnalyticProfile> = parts.iter().map(|p| p.analytic_profile()).collect();
+        let n = profiles.len().max(1) as f64;
+        AnalyticProfile {
+            idle_latency_ns: profiles.iter().map(|p| p.idle_latency_ns).sum::<f64>() / n,
+            total_gbps: profiles.iter().map(|p| p.total_gbps).sum(),
+            servers: profiles.iter().map(|p| p.servers).sum::<usize>().max(1),
+            service_ns: profiles.iter().map(|p| p.service_ns).sum::<f64>() / n,
+        }
+    }
+
+    /// This device behind a link of `extra_ns` added latency that
+    /// serializes each direction at `gbps`, capping capacity there.
+    fn behind_link(self, extra_ns: f64, gbps: f64) -> Self {
+        AnalyticProfile {
+            idle_latency_ns: self.idle_latency_ns + extra_ns,
+            total_gbps: self.total_gbps.min(gbps),
+            ..self
+        }
+    }
 }
 
 #[cfg(test)]
@@ -518,13 +469,6 @@ mod tests {
             presets::cxl_c().with_fast_tier(presets::local_emr(), 1 << 30),
         ] {
             let p = spec.analytic_profile();
-            assert!(
-                (p.idle_latency_ns - spec.nominal_latency_ns()).abs() < 1e-9,
-                "{}: profile idle {} vs nominal {}",
-                spec.name(),
-                p.idle_latency_ns,
-                spec.nominal_latency_ns()
-            );
             assert!(p.total_gbps > 0.0, "{}", spec.name());
             assert!(p.servers >= 1);
             assert!(p.service_ns > 0.0);
@@ -535,6 +479,64 @@ mod tests {
         assert!((two.total_gbps - 2.0 * one.total_gbps).abs() < 1e-9);
         let hopped = presets::cxl_a().with_numa_hop().analytic_profile();
         assert!(hopped.total_gbps <= 14.0 + 1e-9);
+    }
+
+    /// One spec of every shape: each leaf, each hop label, each
+    /// composite, and an interleave over a CXL+NUMA hop and a switch.
+    fn every_shape() -> Vec<DeviceSpec> {
+        let topology: crate::TopologySpec = serde_json::from_str(
+            r#"{"name": "sw", "nodes": [{"id": "h", "kind": "host"},
+                {"id": "s", "kind": "switch"},
+                {"id": "a", "kind": "expander", "device": "cxl-a"},
+                {"id": "b", "kind": "expander", "device": "cxl-b"}],
+              "edges": [{"from": "h", "to": "s"}, {"from": "s", "to": "a"},
+                {"from": "s", "to": "b"}]}"#,
+        )
+        .expect("valid JSON");
+        let switch = topology.validate().expect("valid").lower();
+        assert!(matches!(switch, DeviceSpec::Switch { .. }), "{switch:?}");
+        let tiering = TieringConfig::new(PolicyKind::LruHotness);
+        vec![
+            presets::local_emr(),
+            presets::cxl_b(),
+            presets::cxl_a().with_numa_hop(),
+            presets::cxl_b().with_switch_hop(),
+            presets::cxl_d().interleaved(2),
+            presets::cxl_c().with_fast_tier(presets::local_emr(), 1 << 30),
+            presets::cxl_b().with_tiering(tiering, presets::local_emr()),
+            switch.clone(),
+            DeviceSpec::Interleaved {
+                granularity: 256,
+                parts: vec![presets::cxl_a().with_numa_hop(), switch],
+            },
+        ]
+    }
+
+    #[test]
+    fn built_devices_report_their_spec_name_and_latency() {
+        for spec in every_shape() {
+            let dev = spec.build(9);
+            assert_eq!(dev.name(), spec.name());
+            assert_eq!(
+                dev.nominal_latency_ns(),
+                spec.nominal_latency_ns(),
+                "{}",
+                spec.name()
+            );
+        }
+    }
+
+    #[test]
+    fn fast_forward_reaches_every_faulted_child() {
+        for spec in every_shape() {
+            let tiered = matches!(spec, DeviceSpec::Tiered { .. });
+            let has_cxl = !matches!(spec, DeviceSpec::Imc(_));
+            let mut dev = spec.with_faults(FaultConfig::link_retrain()).build(9);
+            assert_eq!(dev.wants_slot_observations(), tiered, "{}", dev.name());
+            dev.fast_forward(50_000_000_000); // 50 ms, no traffic
+            let retrains = dev.stats().ras.retrains;
+            assert_eq!(retrains > 0, has_cxl, "{}: {retrains}", dev.name());
+        }
     }
 
     #[test]

@@ -16,31 +16,13 @@
 //!   siblings, which is exactly why switch-shared topologies measure
 //!   worse than host-interleaved ones at equal device count.
 //!
-//! Requests are interleaved across the downstream ports with the same
-//! routing math as [`crate::InterleavedDevice`]
-//! ([`crate::interleave::route`]), so a switch is "interleaving plus a
-//! shared bottleneck".
+//! A switch is a [`crate::CompositeDevice::switch`]: its downstream
+//! ports interleave with the same routing math as an interleaved device
+//! ([`crate::interleave::route`]), and its upstream port is the plain
+//! hop link plus a credit pool — "interleaving plus a shared
+//! bottleneck".
 
-use melody_sim::{CreditPool, ServerPool, SimTime};
 use serde::{Deserialize, Serialize};
-
-use crate::device::{AccessBreakdown, DeviceStats, MemoryDevice};
-use crate::interleave::{local_addr, route};
-use crate::request::MemRequest;
-
-/// Per-port link-utilization gauge names (fabric telemetry). Ports past
-/// the eighth clamp onto the last name; metric names must be static, so
-/// the fan-out is bounded here rather than formatted per node.
-static PORT_UTIL_GAUGES: [&str; 8] = [
-    "fabric.port1.util",
-    "fabric.port2.util",
-    "fabric.port3.util",
-    "fabric.port4.util",
-    "fabric.port5.util",
-    "fabric.port6.util",
-    "fabric.port7.util",
-    "fabric.port8.util",
-];
 
 /// Configuration of a CXL switch's shared upstream port.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -65,184 +47,13 @@ impl Default for SwitchConfig {
     }
 }
 
-/// A set of downstream devices behind one switch upstream port.
-pub struct SwitchDevice {
-    cfg: SwitchConfig,
-    granularity: u64,
-    parts: Vec<Box<dyn MemoryDevice>>,
-    name: String,
-    up_read: ServerPool,
-    up_write: ServerPool,
-    credits: CreditPool,
-    port_bytes: Vec<u64>,
-    stats: DeviceStats,
-}
-
-impl SwitchDevice {
-    /// Puts `parts` behind a switch, interleaved at `granularity` bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` is empty, `granularity` is zero, or the config
-    /// has no credits / non-positive bandwidth.
-    pub fn new(cfg: SwitchConfig, granularity: u64, parts: Vec<Box<dyn MemoryDevice>>) -> Self {
-        assert!(!parts.is_empty(), "switch needs at least one downstream");
-        assert!(granularity > 0, "granularity must be positive");
-        assert!(cfg.credits > 0, "switch needs at least one credit");
-        assert!(
-            cfg.upstream_gbps > 0.0,
-            "upstream bandwidth must be positive"
-        );
-        let name = format!("{}x{}+Switch", parts[0].name(), parts.len());
-        let credits = CreditPool::new(cfg.credits);
-        let port_bytes = vec![0; parts.len()];
-        Self {
-            cfg,
-            granularity,
-            parts,
-            name,
-            up_read: ServerPool::new(1),
-            up_write: ServerPool::new(1),
-            credits,
-            port_bytes,
-            stats: DeviceStats::default(),
-        }
-    }
-
-    /// Downstream port count.
-    pub fn ports(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// How many requests found the upstream credit pool exhausted and
-    /// had to wait for a credit to return.
-    pub fn credit_shortfalls(&self) -> u64 {
-        self.credits.shortfalls()
-    }
-}
-
-impl MemoryDevice for SwitchDevice {
-    fn access(&mut self, req: &MemRequest) -> AccessBreakdown {
-        let idx = route(req.addr, self.granularity, self.parts.len());
-        let local = MemRequest {
-            addr: local_addr(req.addr, self.granularity, self.parts.len()),
-            ..*req
-        };
-
-        // One upstream credit is held for the whole round trip; an
-        // exhausted pool stalls the request until a credit returns.
-        let granted = self.credits.acquire(req.issue);
-        let credit_wait = granted - req.issue;
-
-        // Upstream serialization: full-duplex port, one direction per
-        // payload, shared by *all* downstream traffic.
-        let service = (64.0 / self.cfg.upstream_gbps * 1_000.0) as SimTime;
-        let (start, done) = if req.kind.is_read() {
-            self.up_read.submit(granted, service)
-        } else {
-            self.up_write.submit(granted, service)
-        };
-        let queue_hop = credit_wait + (start - granted);
-
-        // The downstream expander sees the request after half the
-        // forwarding latency; its response crosses the other half.
-        let half_fwd = (self.cfg.latency_ns * 500.0) as SimTime;
-        let inner_req = MemRequest {
-            issue: done + half_fwd,
-            ..local
-        };
-        let inner = self.parts[idx].access(&inner_req);
-        let completion = inner.completion + half_fwd;
-        self.credits.release_at(completion);
-
-        let out = AccessBreakdown {
-            completion,
-            queue_ps: inner.queue_ps + queue_hop,
-            dram_ps: inner.dram_ps,
-            fabric_ps: inner.fabric_ps + half_fwd * 2 + service,
-            spike_ps: inner.spike_ps,
-            row_hit: inner.row_hit,
-            poisoned: inner.poisoned,
-            node: idx as u16 + 1,
-        };
-        self.stats.record(req, completion);
-        self.port_bytes[idx] += 64;
-        if melody_telemetry::metrics_on() {
-            // Per-node link utilization: the port's achieved bandwidth
-            // over the device's active span, as a fraction of the shared
-            // upstream capacity.
-            let span = req.issue.saturating_sub(self.stats.first_issue);
-            if span > 0 {
-                let gbps = self.port_bytes[idx] as f64 / span as f64 * 1_000.0;
-                let gauge = PORT_UTIL_GAUGES[idx.min(PORT_UTIL_GAUGES.len() - 1)];
-                melody_telemetry::gauge(gauge, req.issue, gbps / self.cfg.upstream_gbps);
-            }
-            if credit_wait > 0 {
-                melody_telemetry::count("fabric.credit_waits", 1);
-                melody_telemetry::record_ns("fabric.credit_wait_ns", credit_wait / 1_000);
-            }
-        }
-        out
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn nominal_latency_ns(&self) -> f64 {
-        self.parts
-            .iter()
-            .map(|p| p.nominal_latency_ns())
-            .sum::<f64>()
-            / self.parts.len() as f64
-            + self.cfg.latency_ns
-    }
-
-    fn stats(&self) -> DeviceStats {
-        // The switch keeps its own traffic counters; RAS events happen
-        // in the expanders behind it.
-        let mut s = self.stats;
-        for p in &self.parts {
-            s.ras.merge(&p.stats().ras);
-        }
-        s
-    }
-
-    fn fast_forward(&mut self, now: SimTime) {
-        for p in &mut self.parts {
-            p.fast_forward(now);
-        }
-    }
-
-    fn wants_slot_observations(&self) -> bool {
-        self.parts.iter().any(|p| p.wants_slot_observations())
-    }
-
-    fn observe_slot(&mut self, addr: u64, is_store: bool, now: SimTime) {
-        let ways = self.parts.len();
-        let local = local_addr(addr, self.granularity, ways);
-        self.parts[route(addr, self.granularity, ways)].observe_slot(local, is_store, now);
-    }
-}
-
-impl std::fmt::Debug for SwitchDevice {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SwitchDevice")
-            .field("name", &self.name)
-            .field("ports", &self.parts.len())
-            .field("granularity", &self.granularity)
-            .field("upstream_gbps", &self.cfg.upstream_gbps)
-            .field("credits", &self.cfg.credits)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dram::DramTiming;
     use crate::imc::{ImcConfig, ImcDevice};
-    use crate::request::RequestKind;
+    use crate::request::{MemRequest, RequestKind};
+    use crate::{CompositeDevice, MemoryDevice};
 
     fn part() -> Box<dyn MemoryDevice> {
         Box::new(ImcDevice::new(ImcConfig::calibrated(
@@ -253,8 +64,8 @@ mod tests {
         )))
     }
 
-    fn two_port(upstream_gbps: f64, credits: u32) -> SwitchDevice {
-        SwitchDevice::new(
+    fn two_port(upstream_gbps: f64, credits: u32) -> CompositeDevice {
+        CompositeDevice::switch(
             SwitchConfig {
                 latency_ns: 190.0,
                 upstream_gbps,
@@ -316,6 +127,5 @@ mod tests {
     fn name_composes() {
         let dev = two_port(60.0, 24);
         assert_eq!(dev.name(), "Partx2+Switch");
-        assert_eq!(dev.ports(), 2);
     }
 }

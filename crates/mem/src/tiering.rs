@@ -438,29 +438,15 @@ impl MemoryDevice for TieredDevice {
 
     fn nominal_latency_ns(&self) -> f64 {
         // Report the slow tier: pages start there, and it is the
-        // deployment-relevant worst case (same convention as Split).
+        // deployment-relevant worst case (same convention as a split).
         self.slow.nominal_latency_ns()
     }
 
     fn stats(&self) -> DeviceStats {
-        let f = self.fast.stats();
-        let s = self.slow.stats();
-        let mut ras = f.ras;
-        ras.merge(&s.ras);
-        DeviceStats {
-            reads: f.reads + s.reads,
-            writes: f.writes + s.writes,
-            total_read_latency_ps: f.total_read_latency_ps + s.total_read_latency_ps,
-            first_issue: if f.requests() == 0 {
-                s.first_issue
-            } else if s.requests() == 0 {
-                f.first_issue
-            } else {
-                f.first_issue.min(s.first_issue)
-            },
-            last_completion: f.last_completion.max(s.last_completion),
-            ras,
-        }
+        let mut s = DeviceStats::default();
+        s.merge(&self.fast.stats());
+        s.merge(&self.slow.stats());
+        s
     }
 
     fn fast_forward(&mut self, now: melody_sim::SimTime) {

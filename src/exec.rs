@@ -32,7 +32,7 @@
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use melody_telemetry::CellTelemetry;
@@ -60,6 +60,11 @@ fn cell_capture<R>(index: usize, f: impl FnOnce() -> R) -> (R, CellTelemetry) {
     })
 }
 
+/// How many [`traced`] calls are running, and the telemetry mode the
+/// first of them found.
+static TRACED: Mutex<(usize, melody_telemetry::Mode)> =
+    Mutex::new((0, melody_telemetry::Mode::Off));
+
 /// Runs `f` with tracing forced on, capturing its telemetry privately,
 /// and restores the previous telemetry mode afterwards.
 ///
@@ -68,6 +73,11 @@ fn cell_capture<R>(index: usize, f: impl FnOnce() -> R) -> (R, CellTelemetry) {
 /// trace` (and without leaking the forced mode into the rest of the
 /// process): the closure's events, overflow count, and metrics registry
 /// come back directly instead of going to the global sink.
+///
+/// Calls may overlap (`melody tiering` runs one per cell on the worker
+/// pool): the first to enter saves the mode and forces tracing, and the
+/// last to return, or unwind, restores it, so no cell runs with
+/// tracing switched off under it.
 pub fn traced<R>(
     f: impl FnOnce() -> R,
 ) -> (
@@ -76,10 +86,28 @@ pub fn traced<R>(
     u64,
     melody_telemetry::MetricsRegistry,
 ) {
-    let prev = melody_telemetry::mode();
-    melody_telemetry::set_mode(melody_telemetry::Mode::Trace);
+    struct Leave;
+    impl Drop for Leave {
+        fn drop(&mut self) {
+            let mut running = TRACED.lock().unwrap_or_else(|e| e.into_inner());
+            running.0 -= 1;
+            if running.0 == 0 {
+                melody_telemetry::set_mode(running.1);
+            }
+        }
+    }
+    {
+        let mut running = TRACED
+            .lock()
+            .expect("TRACED is held only across mode loads and stores, which never panic");
+        if running.0 == 0 {
+            running.1 = melody_telemetry::mode();
+            melody_telemetry::set_mode(melody_telemetry::Mode::Trace);
+        }
+        running.0 += 1;
+    }
+    let _leave = Leave;
     let (r, cell) = melody_telemetry::capture(f);
-    melody_telemetry::set_mode(prev);
     let (events, dropped, metrics) = cell.into_parts();
     (r, events, dropped, metrics)
 }
@@ -578,6 +606,30 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
+
+    #[test]
+    fn overlapping_traced_calls_keep_tracing_on_until_the_last_returns() {
+        use std::sync::Barrier;
+        let (a_in, b_in, a_out) = (Barrier::new(2), Barrier::new(2), Barrier::new(2));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                traced(|| {
+                    a_in.wait();
+                    b_in.wait();
+                });
+                a_out.wait();
+            });
+            a_in.wait();
+            traced(|| {
+                b_in.wait();
+                a_out.wait();
+                assert!(
+                    melody_telemetry::trace_on(),
+                    "the first call to return turned tracing off under the other"
+                );
+            });
+        });
+    }
 
     #[test]
     fn preserves_item_order() {

@@ -6,8 +6,8 @@
 //! DRAM — cutting the overall slowdown from 13% to 2%. The simulated
 //! equivalent: identify bursty periods with the period-based Spa
 //! analysis, attribute them to the hot address region, and re-run with
-//! a [`melody_mem::SplitDevice`] that serves that region from local
-//! DRAM.
+//! a [`melody_mem::DeviceSpec::Split`] device that serves that region
+//! from local DRAM.
 
 use melody_cpu::Platform;
 use melody_mem::{presets, DeviceSpec};

@@ -1,7 +1,7 @@
 //! Property-based tests over the device substrate: invariants that must
 //! hold for arbitrary request streams and device compositions.
 
-use melody_mem::{presets, DeviceSpec, MemRequest, RequestKind};
+use melody_mem::{presets, DeviceSpec, MemRequest, RequestKind, SwitchConfig};
 use proptest::prelude::*;
 
 fn any_device() -> impl Strategy<Value = DeviceSpec> {
@@ -15,6 +15,12 @@ fn any_device() -> impl Strategy<Value = DeviceSpec> {
         Just(presets::cxl_a().with_numa_hop()),
         Just(presets::cxl_d().interleaved(2)),
         Just(presets::cxl_b().with_fast_tier(presets::local_emr(), 1 << 28)),
+        Just(presets::cxl_b().with_switch_hop()),
+        Just(DeviceSpec::Switch {
+            switch: SwitchConfig::default(),
+            granularity: 256,
+            parts: vec![presets::cxl_b(), presets::cxl_d()],
+        }),
     ]
 }
 

@@ -28,9 +28,8 @@ use melody::experiments::tiering::{phased_workload, tiering_config};
 use melody::journal::Journal;
 use melody::prelude::*;
 use melody_mem::{
-    AccessBreakdown, CpmuDevice, DeviceStats, InterleavedDevice, MemRequest, NumaHopConfig,
-    NumaHopDevice, PolicyKind, SplitDevice, SwitchConfig, SwitchDevice, TieredDevice,
-    TieringConfig, POLICIES,
+    AccessBreakdown, CompositeDevice, CpmuDevice, DeviceStats, MemRequest, NumaHopConfig,
+    PolicyKind, SwitchConfig, TieredDevice, TieringConfig, POLICIES,
 };
 
 fn melody_bin() -> Command {
@@ -278,20 +277,22 @@ fn slot_observations_reach_a_tiering_layer_under_every_wrapper() {
     let cases: [(&str, u64, Wrap); 6] = [
         ("unwrapped", 0, |t| t),
         ("numa", 0, |t| {
-            Box::new(NumaHopDevice::new(NumaHopConfig::plain(70.0, 60.0), t, 5))
+            let hop = NumaHopConfig::plain(70.0, 60.0);
+            Box::new(CompositeDevice::hop(hop, "NUMA", t, 5))
         }),
         ("interleaved", 0, |t| {
-            Box::new(InterleavedDevice::new(
+            Box::new(CompositeDevice::interleaved(
                 vec![t, presets::cxl_b().build(6)],
                 256,
             ))
         }),
         ("split", BOUNDARY, |t| {
-            Box::new(SplitDevice::new(presets::local_emr().build(7), t, BOUNDARY))
+            let fast = presets::local_emr().build(7);
+            Box::new(CompositeDevice::split(fast, t, BOUNDARY))
         }),
         ("switch", 0, |t| {
             let other = presets::cxl_b().build(8);
-            Box::new(SwitchDevice::new(
+            Box::new(CompositeDevice::switch(
                 SwitchConfig::default(),
                 256,
                 vec![t, other],
@@ -336,8 +337,9 @@ fn slot_observations_reach_a_tiering_layer_under_every_wrapper() {
     }
 
     // Wrappers of plain devices still ask for nothing.
-    let plain = NumaHopDevice::new(
+    let plain = CompositeDevice::hop(
         NumaHopConfig::plain(70.0, 60.0),
+        "NUMA",
         presets::cxl_b().build(3),
         4,
     );
