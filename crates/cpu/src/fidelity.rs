@@ -28,13 +28,20 @@ pub enum Fidelity {
 }
 
 impl Fidelity {
-    /// Parses a CLI keyword (`detailed` | `sampled` | `fast`).
+    /// Every tier, in the order error messages list them.
+    pub const ALL: [Fidelity; 3] = [Fidelity::Detailed, Fidelity::Sampled, Fidelity::Fast];
+
+    /// Parses a CLI keyword (see [`Fidelity::label`]).
     pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "detailed" => Fidelity::Detailed,
-            "sampled" => Fidelity::Sampled,
-            "fast" => Fidelity::Fast,
-            _ => return None,
+        Self::ALL.into_iter().find(|f| f.label() == s)
+    }
+
+    /// Resolves an optional tier name: detailed when absent, an error
+    /// listing the tiers when unknown.
+    pub fn resolve(name: Option<&str>) -> Result<Self, String> {
+        name.map_or(Ok(Fidelity::Detailed), |n| {
+            let tiers = Self::ALL.map(Self::label).join("|");
+            Self::parse(n).ok_or_else(|| format!("unknown fidelity `{n}` ({tiers})"))
         })
     }
 

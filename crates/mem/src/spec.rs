@@ -244,12 +244,14 @@ impl DeviceSpec {
     }
 
     /// Attaches a fault-injection regime (see [`crate::faults`]) to every
-    /// CXL device in this spec tree. Non-CXL components (local DRAM, the
-    /// hop itself) are unchanged — faults model expander-side mechanisms.
-    /// Applying an inert regime ([`FaultConfig::none`]) leaves device
-    /// behaviour byte-identical to the unfaulted spec.
+    /// CXL device in this spec tree, replacing any per-node regime; an
+    /// inert one ([`FaultConfig::none`]) returns the spec unchanged. Non-CXL
+    /// components (local DRAM, the hop itself) are unchanged — faults model
+    /// expander-side mechanisms.
     pub fn with_faults(mut self, faults: FaultConfig) -> DeviceSpec {
-        self.attach_faults(&faults);
+        if !faults.is_inert() {
+            self.attach_faults(&faults);
+        }
         self
     }
 
@@ -536,6 +538,22 @@ mod tests {
             dev.fast_forward(50_000_000_000); // 50 ms, no traffic
             let retrains = dev.stats().ras.retrains;
             assert_eq!(retrains > 0, has_cxl, "{}: {retrains}", dev.name());
+        }
+    }
+
+    #[test]
+    fn inert_faults_leave_every_spec_unchanged() {
+        let poisoned: crate::TopologySpec = serde_json::from_str(
+            r#"{"name": "p", "nodes": [{"id": "h", "kind": "host"},
+                {"id": "a", "kind": "expander", "device": "cxl-a", "faults": "poison"}],
+              "edges": [{"from": "h", "to": "a"}]}"#,
+        )
+        .expect("valid JSON");
+        let poisoned = poisoned.validate().expect("valid").lower();
+        assert!(poisoned.canonical_json().contains("poison"), "{poisoned:?}");
+        for spec in every_shape().into_iter().chain([poisoned]) {
+            let json = spec.canonical_json();
+            assert_eq!(spec.with_faults(FaultConfig::none()).canonical_json(), json);
         }
     }
 

@@ -18,8 +18,8 @@
 //! - a switch lowers to [`DeviceSpec::Switch`]: its children interleave
 //!   *and* contend for the switch's shared, credit-limited upstream link;
 //! - a node's `faults` regime attaches a per-link fault schedule to the
-//!   devices beneath it (a campaign-level `--faults` regime, applied
-//!   later, overwrites these per-node schedules).
+//!   devices beneath it (a campaign-level `--faults` regime other than
+//!   `none`, applied later, overwrites these per-node schedules).
 //!
 //! # Example
 //!
@@ -87,7 +87,7 @@ pub struct TopoNode {
     /// Fault regime injected on this node's link (see
     /// [`crate::faults::REGIMES`]): on an expander it faults that device;
     /// on a switch it faults every device behind it. A campaign-level
-    /// fault regime overrides these per-node schedules.
+    /// fault regime other than `none` overrides these per-node schedules.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub faults: Option<String>,
 }
@@ -369,11 +369,6 @@ impl Fabric {
         &self.spec.name
     }
 
-    /// The validated spec this fabric was built from.
-    pub fn spec(&self) -> &TopologySpec {
-        &self.spec
-    }
-
     /// Compiles the fabric into the [`DeviceSpec`] algebra (see the
     /// module docs for the lowering rules). A single-expander topology
     /// lowers to exactly that expander's preset spec, keeping the
@@ -411,13 +406,9 @@ impl Fabric {
             }
             other => unreachable!("validated kind {other}"),
         };
-        match n
-            .faults
-            .as_deref()
-            .map(|f| FaultConfig::by_name(f).expect("validated fault regime"))
-        {
-            Some(f) if !f.is_inert() => spec.with_faults(f),
-            _ => spec,
+        match n.faults.as_deref() {
+            Some(f) => spec.with_faults(FaultConfig::by_name(f).expect("validated fault regime")),
+            None => spec,
         }
     }
 }

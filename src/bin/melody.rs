@@ -38,16 +38,6 @@
 //! polls with capped backoff starting from `--poll-ms`. See
 //! TELEMETRY.md "Live metrics and progress".
 //!
-//! Devices: local, numa, cxl-a, cxl-b, cxl-c, cxl-d, cxl-a+numa, ...,
-//! cxl-d-x2. Platforms: spr2s, emr2s, emr2s-prime, skx2s, skx8s.
-//!
-//! `--topology <spec.json>` replaces the device keyword with a
-//! declarative fabric topology (host / switch / expander nodes; see
-//! EXPERIMENTS.md "Topologies"). `probe` and `run` take it instead of
-//! the `<device>` argument; `melody campaign --topology T` appends the
-//! topology to the campaign spec's device axis. A single-expander
-//! topology is byte-identical to naming its device class directly.
-//!
 //! Flags: one table (`FLAGS`) names every flag, whether it takes a
 //! value, and the commands that read it; the command line is parsed
 //! against it once, and each setting reaches the code that uses it as
@@ -58,7 +48,7 @@
 //! `--cadence-ns N` (gauge sampling window) apply to every command.
 //! `--fidelity detailed|sampled|fast` and `--sample-warmup/-window/-period
 //! N` set the simulation tier of `run`, `trace`, `tiering` and
-//! `campaign`; on `campaign` they fill only what the spec leaves unset.
+//! `campaign`.
 //! `--cache DIR` / `--no-cache` select the content-addressed result
 //! cache of `campaign` and `serve` (default `.melody-cache`) and of
 //! `degraded` (default none); see EXPERIMENTS.md "Campaigns and the
@@ -72,23 +62,27 @@
 //! exports a Chrome `trace_event` JSON viewable in Perfetto; the export
 //! is byte-identical for a fixed seed at any `--jobs` setting.
 //!
-//! `probe`, `mio`, `mlc` and `run` accept `--faults <regime>` to attach a
-//! deterministic fault-injection regime (none, crc-storm, retrain,
-//! refresh-storm, poison, thermal, harsh) to the device. `degraded`
-//! sweeps every regime across the four CXL devices, checkpointing each
-//! finished cell to `--journal` so a killed sweep restarted with
-//! `--resume` skips finished cells and emits byte-identical output.
+//! Grid settings resolve through the campaign grid's axis table
+//! (`melody::campaign::AXES`), so a command line and a campaign spec
+//! share one vocabulary and one exit-2 error per axis listing the valid
+//! names: the `<device>` keyword (a device class such as `cxl-b`,
+//! optionally suffixed `+numa`, `+switch` or `-x2`) or `--topology
+//! <spec.json>` (a declarative fabric, see EXPERIMENTS.md "Topologies"),
+//! `--platform`, `--faults <regime>` (on `probe`, `mio`, `mlc`, `run` and
+//! `trace`: a deterministic fault-injection regime on the device) and
+//! `--policy <name>` (on `probe`, `run` and `campaign`: an online
+//! page-migration tier that promotes hot pages into local DRAM, tuned by
+//! `--page-bytes N` and `--migrate-budget-gbps X`). `--faults none`,
+//! `--policy static` and a single-expander topology are byte-identical to
+//! omitting them.
+//! On `campaign`, `--topology` and `--policy` join the spec's device and
+//! policy axes, and `--fidelity`, `--sample-*`, `--page-bytes` and
+//! `--migrate-budget-gbps` fill only what the spec leaves unset.
 //!
-//! `probe`, `run` and `campaign` accept `--policy <name>` (static,
-//! lru-hotness, clock, bandwidth-aware, spa-guided) to put an online
-//! page-migration tier in front of the device: pages start on the slow
-//! (target) tier and the policy promotes hot pages into local DRAM at
-//! epoch boundaries, with migration traffic costed on the simulated
-//! link. `--page-bytes N` and `--migrate-budget-gbps X` tune the page
-//! size and the migration pacing budget. `--policy static` never
-//! migrates and is byte-identical to omitting the flag. On `campaign`
-//! the policy joins the spec's grid as an extra axis (and the cell's
-//! cache identity). `melody tiering` runs the standing per-policy
+//! `degraded` sweeps every fault regime across the four CXL devices,
+//! checkpointing each finished cell to `--journal` so a killed sweep
+//! restarted with `--resume` skips finished cells and emits
+//! byte-identical output. `tiering` runs the standing per-policy
 //! comparison on a phased hot/cold workload (see EXPERIMENTS.md
 //! "Tiering policies").
 //!
@@ -104,16 +98,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use melody::campaign::{Axis, AxisValue, CampaignCell, Draft};
 use melody::journal::Journal;
 use melody::prelude::*;
-use melody_cpu::{Fidelity, SamplingParams};
-use melody_mem::{CpmuDevice, FaultConfig, PolicyKind, TieringConfig};
+use melody_cpu::Fidelity;
+use melody_mem::CpmuDevice;
 use melody_workloads::mlc::{loaded_latency, MlcConfig};
 use melody_workloads::Suite;
-
-// Device / platform name resolution lives in `melody::campaign`
-// (re-exported through the prelude) so the `campaign` spec expander and
-// the CLI agree on the vocabulary.
 
 /// Every command, as `usage` lists them.
 const COMMANDS: &str = "devices|workloads|probe|mio|mlc|run|cpmu|campaign|degraded|tiering|\
@@ -280,77 +271,88 @@ impl Cli {
     fn float(&self, name: &str) -> Option<f64> {
         self.get(name, "a number", |v| v.parse().ok())
     }
-}
 
-/// Attaches the `--faults <regime>` fault-injection regime to a device
-/// spec, if requested. An inert regime (`none`) leaves the spec
-/// untouched so output stays byte-identical to a fault-free build.
-fn apply_faults(spec: DeviceSpec, cli: &Cli) -> DeviceSpec {
-    let regimes = melody_mem::faults::REGIMES.join("|");
-    let Some(fc) = cli.get("--faults", &regimes, FaultConfig::by_name) else {
-        return spec;
-    };
-    if fc.is_inert() {
+    /// The value of flag `name` resolved by `resolve`, `None` when the
+    /// flag is absent. An error exits 2 naming the flag.
+    fn resolve<T>(&self, name: &str, resolve: impl FnOnce(&str) -> Result<T, String>) -> Option<T> {
+        Some(or_exit(name, resolve(self.str(name)?)))
+    }
+
+    /// Merges the grid flags into `spec`: `--platform`, `--faults`,
+    /// `--policy` and `--topology` join its axes, and the others fill only
+    /// what it leaves unset, so a spec runs as written.
+    fn spec(&self, mut spec: CampaignSpec) -> CampaignSpec {
+        let fidelity = self.resolve("--fidelity", |v| Fidelity::resolve(Some(v)));
+        spec.fidelity = spec.fidelity.or(fidelity.map(|f| f.label().to_string()));
+        spec.sample_warmup = spec.sample_warmup.or(self.int("--sample-warmup"));
+        spec.sample_window = spec.sample_window.or(self.int("--sample-window"));
+        spec.sample_period = spec.sample_period.or(self.int("--sample-period"));
+        spec.page_bytes = spec.page_bytes.or(self.int("--page-bytes"));
+        spec.migrate_budget_gbps = spec
+            .migrate_budget_gbps
+            .or(self.float("--migrate-budget-gbps"));
+        spec.platforms
+            .extend(self.str("--platform").map(str::to_string));
+        spec.faults.extend(self.str("--faults").map(str::to_string));
+        spec.policies
+            .extend(self.str("--policy").map(str::to_string));
+        spec.topologies
+            .extend(self.resolve("--topology", TopologySpec::load));
         spec
-    } else {
-        spec.with_faults(fc)
     }
 }
 
-/// Attaches a `--policy <name>` adaptive tiering layer to a device
-/// spec, with `local` (the platform's local DRAM) as the fast tier.
-/// The `static` keyword — and an absent flag — attaches nothing, so
-/// output stays byte-identical to a policy-free invocation.
-/// `--page-bytes N` and `--migrate-budget-gbps X` tune the config;
-/// an unknown policy or invalid knob exits 2 naming every valid
-/// spelling, the same convention fault and topology validation use.
-fn apply_policy(spec: DeviceSpec, cli: &Cli, local: &DeviceSpec) -> DeviceSpec {
-    let policies = melody_mem::POLICIES.join("|");
-    let Some(kind) = cli.get("--policy", &policies, PolicyKind::parse) else {
-        return spec;
-    };
-    if kind == PolicyKind::Static {
-        return spec;
-    }
-    let mut tc = TieringConfig::new(kind);
-    if let Some(p) = cli.int("--page-bytes") {
-        tc.page_bytes = p;
-    }
-    if let Some(b) = cli.float("--migrate-budget-gbps") {
-        tc.migrate_budget_gbps = b;
-    }
-    if let Err(e) = tc.validate() {
-        eprintln!("tiering: {e}");
+/// `result`'s value, or exit 2 printing its error after `what` (the
+/// flag or command that gave the value).
+fn or_exit<T>(what: &str, result: Result<T, String>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{what}: {e}");
         std::process::exit(2);
-    }
-    spec.with_tiering(tc, local.clone())
+    })
 }
 
-/// Loads, validates and lowers a `--topology <spec.json>` fabric,
-/// exiting 2 with the validation error (which names the offending node
-/// and lists the valid spellings) on failure.
-fn load_topology_or_exit(path: &str) -> DeviceSpec {
-    match TopologySpec::load(path).and_then(|t| t.validate()) {
-        Ok(fabric) => fabric.lower(),
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
+/// The one cell a single-run command names, resolved through the
+/// campaign grid's axis entries: the platform (default emr2s), the
+/// `device` keyword or topology, the fault regime and policy [`Cli::spec`]
+/// merged into `spec`, and the `workload`.
+fn single_cell(
+    cli: &Cli,
+    spec: &CampaignSpec,
+    device: Option<&String>,
+    workload: Option<&String>,
+) -> Draft {
+    let mut draft = Draft::default();
+    let mut set =
+        |what: &str, value: Result<AxisValue, String>| or_exit(what, value).apply(&mut draft);
+    let platform = spec.platforms.first().map_or("emr2s", String::as_str);
+    set("--platform", Axis::Platform.resolve(platform, spec));
+    match (device, spec.topologies.first()) {
+        (Some(name), None) => set(&cli.cmd, Axis::Device.resolve(name, spec)),
+        (None, Some(t)) => set("--topology", AxisValue::topology(t.clone())),
+        (None, None) => usage(),
+        (Some(_), Some(_)) => set(
+            &cli.cmd,
+            Err("takes a device keyword or --topology, not both".into()),
+        ),
     }
+    for name in &spec.faults {
+        set("--faults", Axis::Faults.resolve(name, spec));
+    }
+    for name in &spec.policies {
+        set("--policy", Axis::Policy.resolve(name, spec));
+    }
+    if let Some(name) = workload {
+        set(&cli.cmd, Axis::Workload.resolve(name, spec));
+    }
+    draft
 }
 
-/// Loads and validates a `--topology <spec.json>` fabric for the
-/// campaign device axis, keeping the declarative spec (the campaign
-/// expander lowers it itself, so it lands in the report under the
-/// topology's name).
-fn load_topology_spec_or_exit(path: &str) -> TopologySpec {
-    match TopologySpec::load(path).and_then(|t| t.validate()) {
-        Ok(fabric) => fabric.spec().clone(),
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
+/// The target device of a command that runs no workload: the first
+/// argument through [`single_cell`].
+fn target(cli: &Cli) -> DeviceSpec {
+    let spec = cli.spec(CampaignSpec::default());
+    let draft = single_cell(cli, &spec, cli.pos.first(), None);
+    draft.target.expect("the device axis is set")
 }
 
 fn usage() -> ! {
@@ -360,28 +362,6 @@ fn usage() -> ! {
          see `src/bin/melody.rs` header or README for the flags each command reads"
     );
     std::process::exit(2);
-}
-
-/// The `--fidelity` tier and the sampled tier's schedule (its defaults
-/// overridden by `--sample-warmup/-window/-period`) that `run`, `trace`
-/// and `tiering` simulate at. An invalid schedule exits 2.
-fn fidelity_flags(cli: &Cli) -> (Fidelity, SamplingParams) {
-    let fidelity = cli.get("--fidelity", "detailed|sampled|fast", Fidelity::parse);
-    let mut sampling = SamplingParams::default();
-    if let Some(w) = cli.int("--sample-warmup") {
-        sampling.warmup_slots = w;
-    }
-    if let Some(w) = cli.int("--sample-window") {
-        sampling.window_slots = w;
-    }
-    if let Some(p) = cli.int("--sample-period") {
-        sampling.period_slots = p;
-    }
-    if let Err(e) = sampling.validate() {
-        eprintln!("invalid sampling schedule: {e}");
-        std::process::exit(2);
-    }
-    (fidelity.unwrap_or_default(), sampling)
 }
 
 /// The result-cache directory a command uses: `--cache DIR`, else
@@ -601,18 +581,19 @@ fn main() {
 
 fn cmd_devices() {
     println!("{:12} {:>12} {:>10}", "device", "nominal(ns)", "class");
-    for (name, spec) in [
-        ("local", presets::local_emr()),
-        ("numa", presets::numa_emr()),
-        ("cxl-a", presets::cxl_a()),
-        ("cxl-b", presets::cxl_b()),
-        ("cxl-c", presets::cxl_c()),
-        ("cxl-d", presets::cxl_d()),
-        ("cxl-a+numa", presets::cxl_a().with_numa_hop()),
-        ("cxl-d+switch", presets::cxl_d().with_switch_hop()),
-        ("cxl-d-x2", presets::cxl_d().interleaved(2)),
-        ("skx-410", presets::skx8s_410()),
+    for name in [
+        "local",
+        "numa",
+        "cxl-a",
+        "cxl-b",
+        "cxl-c",
+        "cxl-d",
+        "cxl-a+numa",
+        "cxl-d+switch",
+        "cxl-d-x2",
+        "skx-410",
     ] {
+        let spec = device_by_name(name).expect("a device keyword");
         let class = match &spec {
             DeviceSpec::Imc(_) => "iMC",
             DeviceSpec::Cxl(_) => "CXL",
@@ -657,19 +638,7 @@ fn cmd_workloads(cli: &Cli) {
 }
 
 fn cmd_probe(cli: &Cli) {
-    let spec = match (cli.pos.first(), cli.str("--topology")) {
-        (Some(_), Some(_)) => {
-            eprintln!("probe takes either a device keyword or --topology, not both");
-            std::process::exit(2);
-        }
-        (Some(n), None) => device_by_name(n).unwrap_or_else(|| usage()),
-        (None, Some(path)) => load_topology_or_exit(path),
-        (None, None) => usage(),
-    };
-    let spec = apply_faults(spec, cli);
-    // Probe has no platform axis; the tiering fast tier is the default
-    // platform's local DRAM.
-    let spec = apply_policy(spec, cli, &presets::local_emr());
+    let spec = target(cli);
     let mut dev = spec.build(1);
     let idle = probe::idle_latency_ns(dev.as_mut(), 5_000);
     let mut dev2 = spec.build(1);
@@ -703,10 +672,7 @@ fn print_ras(ras: &melody_mem::RasCounters) {
 }
 
 fn cmd_mio(cli: &Cli) {
-    let Some(spec) = cli.pos.first().and_then(|n| device_by_name(n)) else {
-        usage()
-    };
-    let spec = apply_faults(spec, cli);
+    let spec = target(cli);
     let cfg = melody_mio::MioConfig {
         chase_threads: cli.int("--threads").unwrap_or(1),
         noise_threads: cli.int("--noise").unwrap_or(0),
@@ -727,10 +693,7 @@ fn cmd_mio(cli: &Cli) {
 }
 
 fn cmd_mlc(cli: &Cli) {
-    let Some(spec) = cli.pos.first().and_then(|n| device_by_name(n)) else {
-        usage()
-    };
-    let spec = apply_faults(spec, cli);
+    let spec = target(cli);
     let read_frac = cli.float("--rw").unwrap_or(1.0);
     let cfg = MlcConfig {
         read_frac,
@@ -755,46 +718,25 @@ fn cmd_run(cli: &Cli) {
     let Some(wname) = cli.pos.first() else {
         usage()
     };
-    let Some(w) = registry::by_name(wname) else {
-        eprintln!("unknown workload {wname} (try `melody workloads`)");
-        std::process::exit(2);
-    };
-    let spec = match (cli.pos.get(1), cli.str("--topology")) {
-        (Some(_), Some(_)) => {
-            eprintln!("run takes either a device keyword or --topology, not both");
-            std::process::exit(2);
-        }
-        (Some(dname), None) => device_by_name(dname).unwrap_or_else(|| usage()),
-        (None, Some(path)) => load_topology_or_exit(path),
-        (None, None) => usage(),
-    };
-    let spec = apply_faults(spec, cli);
-    let platforms = "spr2s|emr2s|emr2s-prime|skx2s|skx8s";
-    let platform = cli
-        .get("--platform", platforms, platform_by_name)
-        .unwrap_or_else(Platform::emr2s);
-    let (fidelity, sampling) = fidelity_flags(cli);
-    let opts = RunOptions {
-        mem_refs: cli.int("--refs").unwrap_or(30_000),
-        fidelity,
-        sampling,
+    let spec = cli.spec(CampaignSpec {
+        mem_refs: Some(cli.int("--refs").unwrap_or(30_000)),
         ..Default::default()
-    };
+    });
+    let opts = or_exit(&cli.cmd, spec.run_options());
+    let cell = single_cell(cli, &spec, cli.pos.get(1), Some(wname)).finish(0, &opts);
     // A single run has no cell grid, so `--progress` reports elapsed
     // wall clock only (no ETA — the n/a convention, not a guess).
     let _heartbeat = cli.has("--progress").then(|| spawn_heartbeat(None));
-    let local = melody::campaign::local_for_platform(&platform);
-    let spec = apply_policy(spec, cli, &local);
     if cli.has("--json") {
-        run_json(cli, &platform, &local, &spec, &w, &opts);
+        run_json(cli, &cell);
         return;
     }
-    let pair = run_pair(&platform, &local, &spec, &w, &opts);
+    let pair = cell.run();
     println!(
         "{} on {} ({}): slowdown {:.1}%",
-        w.name,
-        spec.name(),
-        platform.name,
+        cell.workload.name,
+        cell.target.name(),
+        cell.platform.name,
         pair.slowdown * 100.0
     );
     for (label, v) in Breakdown::labels().iter().zip(pair.breakdown.values()) {
@@ -819,38 +761,28 @@ fn cmd_run(cli: &Cli) {
 /// attribution timeline, anomaly windows, and the merged telemetry
 /// export. `--out PATH` additionally writes the document to a file;
 /// `--windows N` sets the timeline resolution.
-fn run_json(
-    cli: &Cli,
-    platform: &Platform,
-    local_spec: &DeviceSpec,
-    target_spec: &DeviceSpec,
-    w: &WorkloadSpec,
-    opts: &RunOptions,
-) {
+fn run_json(cli: &Cli, cell: &CampaignCell) {
     let cfg = melody_insight::InsightConfig {
         windows: cli.int("--windows").unwrap_or(24),
         ..Default::default()
     };
+    let (platform, w, opts) = (&cell.platform, &cell.workload, &cell.opts);
     let (local_run, _l_events, l_dropped, l_metrics) =
-        melody::exec::traced(|| melody::run_workload(platform, local_spec, w, opts));
+        melody::exec::traced(|| melody::run_workload(platform, &cell.local, w, opts));
     let (target_run, t_events, t_dropped, t_metrics) =
-        melody::exec::traced(|| melody::run_workload(platform, target_spec, w, opts));
+        melody::exec::traced(|| melody::run_workload(platform, &cell.target, w, opts));
     let mut metrics = l_metrics;
     metrics.merge(&t_metrics);
     let meta = melody_insight::RunMeta {
         workload: w.name.clone(),
         suite: w.suite.label().to_string(),
         platform: platform.name.clone(),
-        local_device: local_spec.name(),
-        target_device: target_spec.name(),
+        local_device: cell.local.name(),
+        target_device: cell.target.name(),
         seed: opts.seed,
         mem_refs: opts.mem_refs,
-        faults: cli.str("--faults").unwrap_or_default().to_string(),
-        policy: cli
-            .str("--policy")
-            .filter(|p| *p != "static")
-            .unwrap_or_default()
-            .to_string(),
+        faults: cell.labels[Axis::Faults as usize].clone(),
+        policy: cell.labels[Axis::Policy as usize].clone(),
     };
     let doc = melody_insight::build_run_doc(
         meta,
@@ -976,9 +908,7 @@ fn cmd_report(cli: &Cli) {
 }
 
 fn cmd_cpmu(cli: &Cli) {
-    let Some(spec) = cli.pos.first().and_then(|n| device_by_name(n)) else {
-        usage()
-    };
+    let spec = target(cli);
     let accesses = cli.int("--accesses").unwrap_or(40_000);
     let mut dev = CpmuDevice::new(spec.build(1));
     let mut rng = melody_sim::SimRng::seed_from(0xC11);
@@ -1020,34 +950,12 @@ fn cmd_campaign(cli: &Cli) {
         eprintln!("campaign requires a spec file (see datasets/grid_quick.json)");
         std::process::exit(2);
     };
-    let mut spec = CampaignSpec::load(spec_path).unwrap_or_else(|e| {
+    // The expander validates the merged spec: an unknown policy or an
+    // invalid topology exits 2 listing the valid spellings.
+    let spec = cli.spec(CampaignSpec::load(spec_path).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2);
-    });
-    if let Some(tp) = cli.str("--topology") {
-        spec.topologies.push(load_topology_spec_or_exit(tp));
-    }
-    // `--policy NAME` appends to the spec's tiering-policy axis (the
-    // expander validates the name; an unknown one exits 2 listing the
-    // valid spellings). Knob flags override the spec's values.
-    if let Some(p) = cli.str("--policy") {
-        spec.policies.push(p.to_string());
-    }
-    if let Some(p) = cli.int("--page-bytes") {
-        spec.page_bytes = Some(p);
-    }
-    if let Some(b) = cli.float("--migrate-budget-gbps") {
-        spec.migrate_budget_gbps = Some(b);
-    }
-    // The fidelity flags fill only what the spec leaves unset, so a
-    // spec that names its tier or schedule runs as written.
-    let fidelity = cli.get("--fidelity", "detailed|sampled|fast", Fidelity::parse);
-    if spec.fidelity.is_none() {
-        spec.fidelity = fidelity.map(|f| f.label().to_string());
-    }
-    spec.sample_warmup = spec.sample_warmup.or(cli.int("--sample-warmup"));
-    spec.sample_window = spec.sample_window.or(cli.int("--sample-window"));
-    spec.sample_period = spec.sample_period.or(cli.int("--sample-period"));
+    }));
     let shard = cli
         .get("--shard", "i/N with i < N", Shard::parse)
         .unwrap_or_else(Shard::full);
@@ -1111,9 +1019,7 @@ fn telemetry_export_with_exec_counters(
 fn cmd_degraded(cli: &Cli) {
     use melody::experiments::degraded;
 
-    let scale = cli
-        .get("--scale", "smoke|quick|full", Scale::parse)
-        .unwrap_or(Scale::Smoke);
+    let scale = or_exit("--scale", Scale::resolve(cli.str("--scale")));
     let limit = cli.int("--limit");
     let mut journal = open_journal(cli);
     let cache = open_cache(cli, None);
@@ -1138,11 +1044,9 @@ fn cmd_degraded(cli: &Cli) {
 fn cmd_tiering(cli: &Cli) {
     use melody::experiments::tiering;
 
-    let scale = cli
-        .get("--scale", "smoke|quick|full", Scale::parse)
-        .unwrap_or(Scale::Smoke);
-    let (fidelity, sampling) = fidelity_flags(cli);
-    let data = tiering::run(scale, fidelity, sampling);
+    let scale = or_exit("--scale", Scale::resolve(cli.str("--scale")));
+    let opts = or_exit(&cli.cmd, cli.spec(CampaignSpec::default()).run_options());
+    let data = tiering::run(scale, opts.fidelity, opts.sampling);
     if cli.has("--json") {
         println!(
             "{}",
@@ -1164,25 +1068,21 @@ fn cmd_trace(cli: &Cli) {
     let Some(dname) = cli.pos.first() else {
         usage()
     };
-    let Some(spec) = device_by_name(dname) else {
-        usage()
-    };
-    let spec = apply_faults(spec, cli);
+    let grid = cli.spec(CampaignSpec {
+        mem_refs: Some(cli.int("--refs").unwrap_or(4_000)),
+        ..Default::default()
+    });
+    let opts = or_exit(&cli.cmd, grid.run_options());
+    let draft = single_cell(cli, &grid, Some(dname), None);
+    let set = "the platform and device axes are set";
+    let (platform, local) = draft.platform.expect(set);
+    let spec = draft.target.expect(set);
     melody_telemetry::set_mode(melody_telemetry::Mode::Trace);
     let out_path = cli
         .str("--out")
         .map_or_else(|| format!("trace_{dname}.json"), str::to_string);
     let n = cli.int("--workloads").unwrap_or(6);
     let workloads: Vec<_> = registry::all().into_iter().take(n).collect();
-    let (fidelity, sampling) = fidelity_flags(cli);
-    let opts = RunOptions {
-        mem_refs: cli.int("--refs").unwrap_or(4_000),
-        fidelity,
-        sampling,
-        ..Default::default()
-    };
-    let platform = Platform::emr2s();
-    let local = presets::local_emr();
     let outcomes = run_population_par(&platform, &local, &spec, &workloads, &opts);
     let c = melody_telemetry::collect();
     let trace = c.chrome_trace();

@@ -2,11 +2,12 @@
 //! grids with content-addressed result caching and CI sharding.
 //!
 //! A campaign is a JSON [`CampaignSpec`] naming platforms, devices,
-//! fault regimes and workloads. [`CampaignSpec::expand`] resolves the
-//! grid into concrete [`CampaignCell`]s — fully-resolved configurations,
-//! each with a stable fingerprint over everything that determines its
-//! result (platform parameters, device spec with faults applied,
-//! workload spec, run options, and the code-schema version stamps).
+//! fault regimes, tiering policies and workloads. [`CampaignSpec::expand`]
+//! resolves the grid through one axis table ([`AXES`]) into concrete
+//! [`CampaignCell`]s — fully-resolved configurations, each with a stable
+//! fingerprint over everything that determines its result (platform
+//! parameters, device spec with faults and policy applied, workload
+//! spec, run options, and the code-schema version stamps).
 //! [`run_campaign`] then consults a journal (same-run resume) and a
 //! [`ResultCache`] (cross-run warm starts) before dispatching only the
 //! misses to the resilient worker pool.
@@ -24,8 +25,9 @@
 
 use std::sync::Mutex;
 
-use melody_cpu::Platform;
-use melody_mem::{presets, DeviceSpec, FaultConfig, PolicyKind, TieringConfig};
+use melody_cpu::{Fidelity, Platform, SamplingParams};
+use melody_mem::faults::REGIMES;
+use melody_mem::{presets, DeviceSpec, FaultConfig, PolicyKind, TieringConfig, TopologySpec};
 use melody_spa::Breakdown;
 use melody_workloads::{registry, WorkloadSpec};
 use serde::{Deserialize, Serialize};
@@ -44,34 +46,43 @@ use crate::runner::{run_pair, PairOutcome, RunOptions};
 /// "Campaigns and the result cache").
 pub const RESULT_SCHEMA_VERSION: u32 = 2;
 
-/// Resolves a device keyword (`local`, `numa`, `cxl-a` … `cxl-d`,
-/// `skx-140`, `skx-190`, `skx-410`, with optional `+numa` / `+switch` /
-/// `-x2` suffixes) to its preset spec.
+type MakePlatform = fn() -> Platform;
+
+/// Every platform keyword with its constructor, in the order errors list them.
+const PLATFORMS: [(&str, MakePlatform); 5] = [
+    ("spr2s", Platform::spr2s),
+    ("emr2s", Platform::emr2s),
+    ("emr2s-prime", Platform::emr2s_prime),
+    ("skx2s", Platform::skx2s),
+    ("skx8s", Platform::skx8s),
+];
+
+type Wrap = fn(DeviceSpec) -> DeviceSpec;
+
+/// Device keyword suffixes with the wrapper each puts around its class's preset.
+const DEVICE_SUFFIXES: [(&str, Wrap); 3] = [
+    ("+numa", DeviceSpec::with_numa_hop),
+    ("+switch", DeviceSpec::with_switch_hop),
+    ("-x2", |d| d.interleaved(2)),
+];
+
+/// Resolves a device keyword (a [`presets::DEVICE_CLASSES`] class,
+/// optionally suffixed `+numa`, `+switch` or `-x2`) to its preset spec.
 pub fn device_by_name(name: &str) -> Option<DeviceSpec> {
-    let base = presets::device_class;
-    if let Some(stripped) = name.strip_suffix("+numa") {
-        return base(stripped).map(|d| d.with_numa_hop());
+    match DEVICE_SUFFIXES
+        .iter()
+        .find_map(|(suffix, wrap)| Some((name.strip_suffix(suffix)?, wrap)))
+    {
+        Some((class, wrap)) => presets::device_class(class).map(wrap),
+        None => presets::device_class(name),
     }
-    if let Some(stripped) = name.strip_suffix("+switch") {
-        return base(stripped).map(|d| d.with_switch_hop());
-    }
-    if let Some(stripped) = name.strip_suffix("-x2") {
-        return base(stripped).map(|d| d.interleaved(2));
-    }
-    base(name)
 }
 
 /// Resolves a platform keyword (`spr2s`, `emr2s`, `emr2s-prime`,
 /// `skx2s`, `skx8s`) to its [`Platform`].
 pub fn platform_by_name(name: &str) -> Option<Platform> {
-    Some(match name {
-        "spr2s" => Platform::spr2s(),
-        "emr2s" => Platform::emr2s(),
-        "emr2s-prime" => Platform::emr2s_prime(),
-        "skx2s" => Platform::skx2s(),
-        "skx8s" => Platform::skx8s(),
-        _ => return None,
-    })
+    let (_, platform) = PLATFORMS.iter().find(|(n, _)| *n == name)?;
+    Some(platform())
 }
 
 /// The local-DRAM baseline device paired with a platform (matching the
@@ -121,13 +132,238 @@ pub fn pair_config_json(
     )
 }
 
+/// An axis of the campaign grid, in [`AXES`] order. Each entry owns how a
+/// name on it resolves ([`Axis::resolve`]) and how its value changes a
+/// cell and labels it ([`AxisValue::apply`]); [`CampaignSpec::expand`]
+/// and the `melody` CLI both resolve through it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Axis {
+    /// Sets the platform ([`platform_by_name`]) and its local DRAM.
+    Platform,
+    /// Sets the target ([`device_by_name`] or [`AxisValue::topology`]).
+    Device,
+    /// Attaches a fault regime ([`REGIMES`]) to the target.
+    Faults,
+    /// Puts a tiering policy ([`melody_mem::POLICIES`]) in front of the
+    /// target, with the local DRAM as its fast tier.
+    Policy,
+    /// Sets the workload ([`registry::by_name`]).
+    Workload,
+}
+
+/// The grid's axes, outermost first.
+pub const AXES: [Axis; 5] = [
+    Axis::Platform,
+    Axis::Device,
+    Axis::Faults,
+    Axis::Policy,
+    Axis::Workload,
+];
+
+impl Axis {
+    /// Resolves `name` on this axis; an unknown name is an error listing
+    /// the valid ones. A policy takes `spec`'s tiering knobs; `static`
+    /// adds no label.
+    pub fn resolve(self, name: &str, spec: &CampaignSpec) -> Result<AxisValue, String> {
+        let setting = match self {
+            Axis::Platform => platform_by_name(name).map(Setting::Platform),
+            Axis::Device => device_by_name(name).map(|d| Setting::Device(Box::new(d))),
+            Axis::Faults => FaultConfig::by_name(name).map(Setting::Faults),
+            Axis::Policy => PolicyKind::parse(name).map(|p| Setting::Policy(TieringConfig::new(p))),
+            Axis::Workload => registry::by_name(name).map(Setting::Workload),
+        };
+        let setting = setting.ok_or_else(|| match self {
+            Axis::Platform => {
+                let known = PLATFORMS.map(|(n, _)| n).join("|");
+                format!("unknown platform `{name}` ({known})")
+            }
+            Axis::Device => format!(
+                "unknown device `{name}` (classes: {}; suffixes: {})",
+                presets::DEVICE_CLASSES.join(", "),
+                DEVICE_SUFFIXES.map(|(s, _)| s).join(", ")
+            ),
+            Axis::Faults => format!(
+                "unknown fault regime `{name}` (known: {})",
+                REGIMES.join(", ")
+            ),
+            Axis::Policy => melody_mem::policy::unknown_policy_error(name),
+            Axis::Workload => format!("unknown workload `{name}` (try `melody workloads`)"),
+        })?;
+        let mut value = AxisValue::new(self, name.to_string(), setting);
+        match &mut value.setting {
+            Setting::Policy(tc) if tc.policy == PolicyKind::Static => value.label.clear(),
+            Setting::Policy(tc) => {
+                tc.page_bytes = spec.page_bytes.unwrap_or(tc.page_bytes);
+                tc.migrate_budget_gbps = spec.migrate_budget_gbps.unwrap_or(tc.migrate_budget_gbps);
+                tc.validate().map_err(|e| format!("tiering: {e}"))?;
+            }
+            _ => {}
+        }
+        Ok(value)
+    }
+
+    /// `spec`'s values on this axis, each resolved once, topologies after
+    /// `devices`; empty faults, policies and workloads take defaults.
+    fn values(self, spec: &CampaignSpec) -> Result<Vec<AxisValue>, String> {
+        let names = match self {
+            Axis::Platform => &spec.platforms,
+            Axis::Device => &spec.devices,
+            Axis::Faults => &spec.faults,
+            Axis::Policy => &spec.policies,
+            Axis::Workload => &spec.workloads,
+        };
+        let mut values = names
+            .iter()
+            .map(|n| self.resolve(n, spec))
+            .collect::<Result<Vec<_>, _>>()?;
+        match self {
+            Axis::Device => {
+                for t in &spec.topologies {
+                    let fabric = AxisValue::topology(t.clone())?;
+                    if values.iter().any(|v| v.label == fabric.label) {
+                        return Err(format!(
+                            "topology name `{}` duplicates another device-axis entry",
+                            fabric.label
+                        ));
+                    }
+                    values.push(fabric);
+                }
+            }
+            Axis::Faults if values.is_empty() => values.push(self.resolve("none", spec)?),
+            Axis::Policy if values.is_empty() => values.push(self.resolve("static", spec)?),
+            Axis::Workload if values.is_empty() => {
+                let selected = spec.effective_scale()?.select_workloads();
+                values.extend(selected.into_iter().map(AxisValue::workload));
+            }
+            _ => {}
+        }
+        Ok(values)
+    }
+}
+
+/// One resolved value of an [`Axis`]: its label and what it sets.
+#[derive(Debug, Clone)]
+pub struct AxisValue {
+    axis: Axis,
+    label: String,
+    setting: Setting,
+}
+
+/// What an axis value sets in a cell.
+#[derive(Debug, Clone)]
+enum Setting {
+    Platform(Platform),
+    Device(Box<DeviceSpec>),
+    Faults(FaultConfig),
+    Policy(TieringConfig),
+    Workload(WorkloadSpec),
+}
+
+impl AxisValue {
+    fn new(axis: Axis, label: String, setting: Setting) -> Self {
+        Self {
+            axis,
+            label,
+            setting,
+        }
+    }
+
+    fn workload(w: WorkloadSpec) -> Self {
+        Self::new(Axis::Workload, w.name.clone(), Setting::Workload(w))
+    }
+
+    /// A topology's device-axis value: its validated fabric, lowered and
+    /// labelled by its name.
+    pub fn topology(t: TopologySpec) -> Result<Self, String> {
+        let fabric = t.validate()?;
+        let setting = Setting::Device(Box::new(fabric.lower()));
+        Ok(Self::new(Axis::Device, fabric.name().to_string(), setting))
+    }
+
+    /// Sets this value in `draft`. A fault regime or policy changes the
+    /// target set before it; an inert one (`none`, `static`) leaves it
+    /// unchanged.
+    pub fn apply(&self, draft: &mut Draft) {
+        draft.labels[self.axis as usize] = self.label.clone();
+        match &self.setting {
+            Setting::Platform(p) => draft.platform = Some((p.clone(), local_for_platform(p))),
+            Setting::Device(spec) => draft.target = Some(DeviceSpec::clone(spec)),
+            Setting::Faults(fc) => {
+                draft.target = draft.target.take().map(|t| t.with_faults(fc.clone()));
+            }
+            Setting::Policy(tc) => {
+                let (_, local) = draft.platform.as_ref().expect("the platform is set first");
+                draft.target = draft
+                    .target
+                    .take()
+                    .map(|t| t.with_tiering(tc.clone(), local.clone()));
+            }
+            Setting::Workload(w) => draft.workload = Some(w.clone()),
+        }
+    }
+}
+
+/// A cell as its axis values fill it in, outermost axis first.
+#[derive(Debug, Clone, Default)]
+pub struct Draft {
+    /// Each axis's label, in [`AXES`] order; empty until set.
+    pub labels: [String; AXES.len()],
+    /// The platform and its local-DRAM baseline.
+    pub platform: Option<(Platform, DeviceSpec)>,
+    /// The target device, with every fault regime and policy so far.
+    pub target: Option<DeviceSpec>,
+    /// The workload.
+    pub workload: Option<WorkloadSpec>,
+}
+
+impl Draft {
+    /// The finished cell at expansion position `index`, keyed by its
+    /// resolved config. Panics unless every axis is set.
+    pub fn finish(self, index: usize, opts: &RunOptions) -> CampaignCell {
+        let unset = "every axis is set";
+        let (platform, local) = self.platform.expect(unset);
+        let target = self.target.expect(unset);
+        let workload = self.workload.expect(unset);
+        let config = pair_config_json(&platform, &local, &target, &workload, opts);
+        CampaignCell {
+            index,
+            key: cell_fingerprint("pair", &config),
+            labels: self.labels,
+            platform,
+            local,
+            target,
+            workload,
+            opts: opts.clone(),
+        }
+    }
+}
+
+/// Appends the product of `axes` under `draft` to `cells`, applying each
+/// value once per prefix.
+fn product(
+    axes: &[Vec<AxisValue>],
+    draft: Draft,
+    opts: &RunOptions,
+    cells: &mut Vec<CampaignCell>,
+) {
+    let Some((values, inner)) = axes.split_first() else {
+        cells.push(draft.finish(cells.len(), opts));
+        return;
+    };
+    for value in values {
+        let mut next = draft.clone();
+        value.apply(&mut next);
+        product(inner, next, opts, cells);
+    }
+}
+
 /// A declarative campaign: the JSON document `melody campaign` loads.
 ///
 /// `workloads` may list registry names explicitly; when empty, the
 /// campaign draws the deterministic class-spanning selection for
 /// `scale` (default `smoke`). `faults` defaults to `["none"]`,
 /// `mem_refs` to the scale's reference count and `seed` to 42.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CampaignSpec {
     /// Campaign name (labels reports and artifacts).
     pub name: String,
@@ -199,154 +435,41 @@ impl CampaignSpec {
         Scale::resolve(self.scale.as_deref())
     }
 
-    /// Expands the grid into fully-resolved cells, in deterministic
-    /// platform-major order (platform, then device, then fault regime,
-    /// then tiering policy, then workload). Unknown names are errors,
-    /// not panics.
-    pub fn expand(&self) -> Result<Vec<CampaignCell>, String> {
+    /// The run options every cell of this spec shares, defaults filled
+    /// in; an invalid sampling schedule is an error.
+    pub fn run_options(&self) -> Result<RunOptions, String> {
         let scale = self.effective_scale()?;
-        if self.platforms.is_empty() || (self.devices.is_empty() && self.topologies.is_empty()) {
-            return Err("campaign needs at least one platform and one device or topology".into());
-        }
-        let workloads: Vec<WorkloadSpec> = if self.workloads.is_empty() {
-            scale.select_workloads()
-        } else {
-            self.workloads
-                .iter()
-                .map(|n| {
-                    registry::by_name(n)
-                        .ok_or_else(|| format!("unknown workload `{n}` (try `melody workloads`)"))
-                })
-                .collect::<Result<_, _>>()?
+        let fidelity = Fidelity::resolve(self.fidelity.as_deref())?;
+        let defaults = SamplingParams::default();
+        let sampling = SamplingParams {
+            warmup_slots: self.sample_warmup.unwrap_or(defaults.warmup_slots),
+            window_slots: self.sample_window.unwrap_or(defaults.window_slots),
+            period_slots: self.sample_period.unwrap_or(defaults.period_slots),
         };
-        let faults: Vec<String> = if self.faults.is_empty() {
-            vec!["none".to_string()]
-        } else {
-            self.faults.clone()
-        };
-        // The `static` spelling lowers to absence (like the inert fault
-        // regime and degenerate topologies), so its cells share
-        // fingerprints, labels and rendering with policy-free ones.
-        let mut policies: Vec<(String, Option<TieringConfig>)> = Vec::new();
-        let default_policies = [String::new()];
-        for pol in if self.policies.is_empty() {
-            &default_policies[..]
-        } else {
-            &self.policies[..]
-        } {
-            if pol.is_empty() || pol == "static" {
-                policies.push((String::new(), None));
-                continue;
-            }
-            let kind = PolicyKind::parse(pol)
-                .ok_or_else(|| melody_mem::policy::unknown_policy_error(pol))?;
-            let mut tc = TieringConfig::new(kind);
-            if let Some(p) = self.page_bytes {
-                tc.page_bytes = p;
-            }
-            if let Some(b) = self.migrate_budget_gbps {
-                tc.migrate_budget_gbps = b;
-            }
-            tc.validate().map_err(|e| format!("tiering: {e}"))?;
-            policies.push((pol.clone(), Some(tc)));
-        }
-        let fidelity = match self.fidelity.as_deref() {
-            None => melody_cpu::Fidelity::Detailed,
-            Some(s) => melody_cpu::Fidelity::parse(s)
-                .ok_or_else(|| format!("unknown fidelity `{s}` (detailed|sampled|fast)"))?,
-        };
-        let mut sampling = melody_cpu::SamplingParams::default();
-        if let Some(w) = self.sample_warmup {
-            sampling.warmup_slots = w;
-        }
-        if let Some(w) = self.sample_window {
-            sampling.window_slots = w;
-        }
-        if let Some(p) = self.sample_period {
-            sampling.period_slots = p;
-        }
         sampling.validate().map_err(|e| format!("sampling: {e}"))?;
-        let opts = RunOptions {
+        Ok(RunOptions {
             mem_refs: self.mem_refs.unwrap_or_else(|| scale.mem_refs()),
             seed: self.seed.unwrap_or(42),
             fidelity,
             sampling,
             ..Default::default()
-        };
-        // Unified device axis: explicit device keywords first, then
-        // topologies lowered to device specs, labelled by topology name.
-        let mut axis: Vec<(String, DeviceSpec)> = Vec::new();
-        for dname in &self.devices {
-            let device = device_by_name(dname).ok_or_else(|| {
-                format!(
-                    "unknown device `{dname}` (classes: {}; suffixes: +numa, +switch, -x2)",
-                    presets::DEVICE_CLASSES.join(", ")
-                )
-            })?;
-            axis.push((dname.clone(), device));
+        })
+    }
+
+    /// Expands the grid into fully-resolved cells: the product of the
+    /// spec's values on the [`AXES`], outermost first. Unknown names are
+    /// errors, not panics.
+    pub fn expand(&self) -> Result<Vec<CampaignCell>, String> {
+        let opts = self.run_options()?;
+        if self.platforms.is_empty() || (self.devices.is_empty() && self.topologies.is_empty()) {
+            return Err("campaign needs at least one platform and one device or topology".into());
         }
-        for t in &self.topologies {
-            let fabric = t.clone().validate()?;
-            if axis.iter().any(|(n, _)| n == fabric.name()) {
-                return Err(format!(
-                    "topology name `{}` duplicates another device-axis entry",
-                    fabric.name()
-                ));
-            }
-            axis.push((fabric.name().to_string(), fabric.lower()));
-        }
+        let axes = AXES
+            .iter()
+            .map(|axis| axis.values(self))
+            .collect::<Result<Vec<_>, _>>()?;
         let mut cells = Vec::new();
-        for pname in &self.platforms {
-            let platform = platform_by_name(pname).ok_or_else(|| {
-                format!("unknown platform `{pname}` (spr2s|emr2s|emr2s-prime|skx2s|skx8s)")
-            })?;
-            let local = local_for_platform(&platform);
-            for (dname, device) in &axis {
-                for fname in &faults {
-                    let fc = FaultConfig::by_name(fname).ok_or_else(|| {
-                        format!(
-                            "unknown fault regime `{fname}` (known: {})",
-                            melody_mem::faults::REGIMES.join(", ")
-                        )
-                    })?;
-                    // The inert regime attaches no fault layer, so a
-                    // faultless campaign hashes (and simulates)
-                    // identically to one written before regimes existed.
-                    let faulted = if fc.is_inert() {
-                        device.clone()
-                    } else {
-                        device.clone().with_faults(fc)
-                    };
-                    for (polname, tiering) in &policies {
-                        // Tiering wraps the (faulted) target with the
-                        // platform's local DRAM as the fast tier; the
-                        // wrapper spec enters the cell fingerprint via
-                        // the target, so policies are cell identity.
-                        let target = match tiering {
-                            None => faulted.clone(),
-                            Some(tc) => faulted.clone().with_tiering(tc.clone(), local.clone()),
-                        };
-                        for w in &workloads {
-                            let config = pair_config_json(&platform, &local, &target, w, &opts);
-                            let key = cell_fingerprint("pair", &config);
-                            cells.push(CampaignCell {
-                                index: cells.len(),
-                                key,
-                                platform_name: pname.clone(),
-                                device_name: dname.clone(),
-                                fault_name: fname.clone(),
-                                policy_name: polname.clone(),
-                                platform: platform.clone(),
-                                local: local.clone(),
-                                target: target.clone(),
-                                workload: w.clone(),
-                                opts: opts.clone(),
-                            });
-                        }
-                    }
-                }
-            }
-        }
+        product(&axes, Draft::default(), &opts, &mut cells);
         Ok(cells)
     }
 }
@@ -358,20 +481,13 @@ pub struct CampaignCell {
     pub index: usize,
     /// Content fingerprint of the resolved configuration.
     pub key: String,
-    /// Platform keyword from the spec.
-    pub platform_name: String,
-    /// Device keyword from the spec.
-    pub device_name: String,
-    /// Fault regime name from the spec.
-    pub fault_name: String,
-    /// Tiering policy keyword; empty for static/no-policy cells (which
-    /// carry no tiering layer at all).
-    pub policy_name: String,
+    /// Each axis's label, in [`AXES`] order; empty for `static`.
+    pub labels: [String; AXES.len()],
     /// Resolved platform.
     pub platform: Platform,
     /// Local-DRAM baseline for this platform.
     pub local: DeviceSpec,
-    /// Target device (faults applied).
+    /// Target device (faults and policy applied).
     pub target: DeviceSpec,
     /// Resolved workload.
     pub workload: WorkloadSpec,
@@ -380,26 +496,32 @@ pub struct CampaignCell {
 }
 
 impl CampaignCell {
-    /// Human-readable cell label for error reports. The policy segment
-    /// appears only for adaptive-policy cells, so policy-free campaigns
-    /// keep their pre-policy labels.
+    /// Human-readable cell label for error reports: the axis labels
+    /// joined by `/`.
     pub fn label(&self) -> String {
-        if self.policy_name.is_empty() {
-            format!(
-                "{}/{}/{}/{}",
-                self.platform_name, self.device_name, self.fault_name, self.workload.name
-            )
-        } else {
-            format!(
-                "{}/{}/{}/{}/{}",
-                self.platform_name,
-                self.device_name,
-                self.fault_name,
-                self.policy_name,
-                self.workload.name
-            )
-        }
+        join_labels(&self.labels)
     }
+
+    /// Runs this cell's local-vs-target pair.
+    pub fn run(&self) -> PairOutcome {
+        run_pair(
+            &self.platform,
+            &self.local,
+            &self.target,
+            &self.workload,
+            &self.opts,
+        )
+    }
+}
+
+/// Joins labels with `/`, skipping empty ones (the `static` policy's).
+fn join_labels<'a>(labels: impl IntoIterator<Item = &'a String>) -> String {
+    let labels: Vec<&str> = labels
+        .into_iter()
+        .filter(|l| !l.is_empty())
+        .map(String::as_str)
+        .collect();
+    labels.join("/")
 }
 
 /// One shard of a campaign: this machine owns every cell whose index is
@@ -581,11 +703,7 @@ impl CampaignReport {
         let mut out = t.render();
         let mut groups: Vec<(String, Vec<f64>)> = Vec::new();
         for r in &self.rows {
-            let g = if r.policy.is_empty() {
-                format!("{}/{}/{}", r.platform, r.device, r.faults)
-            } else {
-                format!("{}/{}/{}/{}", r.platform, r.device, r.faults, r.policy)
-            };
+            let g = join_labels([&r.platform, &r.device, &r.faults, &r.policy]);
             match groups.iter_mut().find(|(k, _)| *k == g) {
                 Some((_, v)) => v.push(r.slowdown * 100.0),
                 None => groups.push((g, vec![r.slowdown * 100.0])),
@@ -621,11 +739,12 @@ impl CampaignReport {
 }
 
 fn row_from(cell: &CampaignCell, o: &PairOutcome) -> CampaignRow {
+    let [platform, device, faults, policy, _] = cell.labels.clone();
     CampaignRow {
-        platform: cell.platform_name.clone(),
-        device: cell.device_name.clone(),
-        faults: cell.fault_name.clone(),
-        policy: cell.policy_name.clone(),
+        platform,
+        device,
+        faults,
+        policy,
         workload: o.workload.clone(),
         suite: o.suite.label().to_string(),
         slowdown: o.slowdown,
@@ -720,13 +839,7 @@ pub fn run_campaign(
         policy,
         |_, cell| cell.label(),
         |cell| {
-            let o = run_pair(
-                &cell.platform,
-                &cell.local,
-                &cell.target,
-                &cell.workload,
-                &cell.opts,
-            );
+            let o = cell.run();
             let json = serde_json::to_string(&o).expect("outcome serializes");
             journal_mx
                 .lock()
@@ -949,6 +1062,15 @@ mod tests {
             ..tiny_spec()
         };
         assert!(bad.expand().unwrap_err().contains("cxl-z"));
+    }
+
+    #[test]
+    fn axes_are_declared_in_expansion_order() {
+        // Labels are indexed by `Axis as usize` (`AxisValue::apply`,
+        // `row_from`), so the declaration order must be the table's.
+        for (i, axis) in AXES.iter().enumerate() {
+            assert_eq!(*axis as usize, i, "{axis:?}");
+        }
     }
 
     #[test]

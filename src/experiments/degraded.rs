@@ -13,11 +13,12 @@
 
 use std::sync::Mutex;
 
-use melody_mem::{faults, presets, DeviceSpec, FaultConfig, RasCounters};
+use melody_mem::{faults, DeviceSpec, RasCounters};
 use melody_workloads::mlc;
 use serde::{Deserialize, Serialize};
 
 use crate::cache::ResultCache;
+use crate::campaign::{Axis, CampaignSpec, Draft};
 use crate::exec::{run_cells, CellError, CellPolicy};
 use crate::journal::Journal;
 use crate::report::{ras_table, TableData};
@@ -112,15 +113,15 @@ impl DegradedReport {
     }
 }
 
-/// Resolves the device keywords used by the degraded sweep.
-fn device_spec(keyword: &str) -> Option<DeviceSpec> {
-    Some(match keyword {
-        "cxl-a" => presets::cxl_a(),
-        "cxl-b" => presets::cxl_b(),
-        "cxl-c" => presets::cxl_c(),
-        "cxl-d" => presets::cxl_d(),
-        _ => return None,
-    })
+/// One cell's device with its fault regime, resolved through the
+/// campaign grid's device and fault entries.
+fn faulted_device(device: &str, regime: &str) -> Result<DeviceSpec, String> {
+    let mut draft = Draft::default();
+    for (axis, name) in [(Axis::Device, device), (Axis::Faults, regime)] {
+        axis.resolve(name, &CampaignSpec::default())?
+            .apply(&mut draft);
+    }
+    Ok(draft.target.expect("the device axis is set"))
 }
 
 /// The standard sweep: the four Table-1 CXL devices × every fault regime.
@@ -152,13 +153,7 @@ pub fn cell_key(device: &str, regime: &str, scale: Scale) -> String {
 /// ladder, request count). `None` when the names don't resolve — such
 /// cells skip the cache and surface their error through the harness.
 fn cell_cache_key(device: &str, regime: &str, scale: Scale) -> Option<String> {
-    let spec = device_spec(device)?;
-    let fc = FaultConfig::by_name(regime)?;
-    let spec = if fc.is_inert() {
-        spec
-    } else {
-        spec.with_faults(fc)
-    };
+    let spec = faulted_device(device, regime).ok()?;
     let config = format!(
         "{{\"spec\":{},\"delays\":{:?},\"requests\":{}}}",
         spec.canonical_json(),
@@ -175,16 +170,7 @@ fn cell_cache_key(device: &str, regime: &str, scale: Scale) -> Option<String> {
 /// Panics on an unknown device keyword or regime name — under the
 /// resilient harness this surfaces as a [`CellError`], not a dead sweep.
 fn compute_cell(device: &str, regime: &str, scale: Scale) -> DegradedCell {
-    let spec = device_spec(device).unwrap_or_else(|| panic!("unknown device `{device}`"));
-    let fc =
-        FaultConfig::by_name(regime).unwrap_or_else(|| panic!("unknown fault regime `{regime}`"));
-    // The inert regime attaches no fault layer at all, keeping the
-    // baseline curve byte-identical to the device without this PR.
-    let spec = if fc.is_inert() {
-        spec
-    } else {
-        spec.with_faults(fc)
-    };
+    let spec = faulted_device(device, regime).unwrap_or_else(|e| panic!("{e}"));
     let delays = degraded_delays(scale);
     let pts = mlc::latency_bandwidth_curve(&spec, &delays, 1.0, scale.mlc_requests());
     let mut ras = RasCounters::default();
@@ -447,8 +433,7 @@ mod tests {
         let cells = standard_cells();
         assert_eq!(cells.len(), 4 * faults::REGIMES.len());
         for (d, r) in &cells {
-            assert!(device_spec(d).is_some(), "device {d}");
-            assert!(FaultConfig::by_name(r).is_some(), "regime {r}");
+            assert!(faulted_device(d, r).is_ok(), "device {d}, regime {r}");
         }
     }
 }

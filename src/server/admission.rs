@@ -10,6 +10,7 @@
 //! can resubmit at a cheaper tier or smaller grid.
 
 use melody_cpu::Fidelity;
+use melody_mem::{DeviceSpec, PolicyKind};
 
 use crate::campaign::CampaignSpec;
 
@@ -31,16 +32,16 @@ pub fn fidelity_weight(fidelity: Fidelity) -> u64 {
     }
 }
 
-/// Relative cost multiplier of a cell's tiering policy. Adaptive
-/// policies tap the full load/store stream and run per-epoch migration
-/// bookkeeping (×2); `spa-guided` additionally runs a sampled profiling
-/// pair to synthesize its guide schedule (×3). Static/no-policy cells
-/// pay nothing extra.
-pub fn policy_weight(policy: &str) -> u64 {
-    match policy {
-        "" | "static" => 1,
-        "spa-guided" => 3,
-        _ => 2,
+/// Relative cost multiplier of a cell's tiering policy, read from its
+/// resolved target. Adaptive policies tap the full load/store stream and
+/// run per-epoch migration bookkeeping (×2); `spa-guided` additionally
+/// runs a sampled profiling pair to synthesize its guide schedule (×3).
+/// A target without a tiering layer pays nothing extra.
+pub fn policy_weight(target: &DeviceSpec) -> u64 {
+    match target {
+        DeviceSpec::Tiered { tiering, .. } if tiering.policy == PolicyKind::SpaGuided => 3,
+        DeviceSpec::Tiered { .. } => 2,
+        _ => 1,
     }
 }
 
@@ -55,7 +56,7 @@ pub fn assess(spec: &CampaignSpec) -> Result<Admission, String> {
         .map_or(1, |c| fidelity_weight(c.opts.fidelity));
     let cost = cells
         .iter()
-        .map(|c| weight.saturating_mul(policy_weight(&c.policy_name)))
+        .map(|c| weight.saturating_mul(policy_weight(&c.target)))
         .fold(0u64, u64::saturating_add);
     Ok(Admission {
         cells: cells.len(),

@@ -538,56 +538,98 @@ fn corrupted_cache_entries_are_misses_never_panics() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Pins the cell fingerprints of every campaign spec under `datasets/`:
-/// the fingerprint of each spec's ordered cell keys must equal the value
-/// recorded when the pin was written. Any cache-key drift — a changed
-/// key recipe, a new default, a reordered expansion — fails here, so a
-/// refactor that keeps this test green keeps every existing cache entry
-/// reachable. `grid_fidelity.json` is pinned as written and at each
-/// reduced tier.
+/// Pins the cell fingerprints of every campaign spec under `datasets/`
+/// and of the benchmark's four batch specs under `perfbench/workloads/`
+/// (read in place): the fingerprint of each spec's ordered cell keys,
+/// and of its ordered cell labels, must equal the values recorded when
+/// the pin was written. Any cache-key drift — a changed key recipe, a
+/// new default, a reordered expansion — fails here, so a refactor that
+/// keeps this test green keeps every existing cache entry reachable;
+/// the labels key the benchmark's references. `grid_fidelity.json` is
+/// pinned as written and at each reduced tier.
 #[test]
 fn dataset_cell_fingerprints_are_pinned() {
-    let cases: [(&str, Option<&str>, &str); 6] = [
-        ("grid_quick.json", None, "0ee76a5e3673bbb9e329f83d39160c7d"),
+    let cases: [(&str, Option<&str>, &str, &str); 10] = [
         (
-            "grid_tiering.json",
+            "datasets/grid_quick.json",
+            None,
+            "0ee76a5e3673bbb9e329f83d39160c7d",
+            "bd54f3521dda90359fc3f9feb33da0b1",
+        ),
+        (
+            "datasets/grid_tiering.json",
             None,
             "9722dafc572c53b89ff02a6b5607dcb4",
+            "c31e839ce534793914f77d25cc06b8b5",
         ),
         (
-            "grid_topology.json",
+            "datasets/grid_topology.json",
             None,
             "2ca70cc695a14d6d63487e087d32fe09",
+            "efe43b76baefa450d75e40755375cfd4",
         ),
         (
-            "grid_fidelity.json",
+            "datasets/grid_fidelity.json",
             None,
             "94ee5e690cfd4d2178d7ebd70eadbd65",
+            "246e35207b5f267da4f9cb164d9a5f69",
         ),
         (
-            "grid_fidelity.json",
+            "datasets/grid_fidelity.json",
             Some("sampled"),
             "b812c05a758983d908cf347bee78f475",
+            "246e35207b5f267da4f9cb164d9a5f69",
         ),
         (
-            "grid_fidelity.json",
+            "datasets/grid_fidelity.json",
             Some("fast"),
             "a8fa7088667af530343aa9ce92f30da4",
+            "246e35207b5f267da4f9cb164d9a5f69",
+        ),
+        (
+            "perfbench/workloads/detailed_grid.json",
+            None,
+            "4084703130a079d236f543e3fc13918e",
+            "23fb25e0f3a3bccd943e7d4b157ea3f9",
+        ),
+        (
+            "perfbench/workloads/tiering_policies.json",
+            None,
+            "cc598d582944dc754a633b6fed3e55d9",
+            "5a4d9f0df2029abfe10a5c17c4ec0fab",
+        ),
+        (
+            "perfbench/workloads/sampled_grid.json",
+            None,
+            "e482d5c34f46fc0adf8d15ca6bfca6a6",
+            "9da793ede09068b81789301242a7b474",
+        ),
+        (
+            "perfbench/workloads/fast_sweep.json",
+            None,
+            "6b32dcbdd61d98d95207f07686bb70cd",
+            "5982fed540536daef58a78ede081a132",
         ),
     ];
     let mut drift = Vec::new();
-    for (file, fidelity, pinned) in cases {
-        let path = format!("{}/datasets/{file}", env!("CARGO_MANIFEST_DIR"));
-        let mut spec = CampaignSpec::load(&path).expect("dataset spec loads");
+    for (file, fidelity, keys_pin, labels_pin) in cases {
+        let path = format!("{}/{file}", env!("CARGO_MANIFEST_DIR"));
+        let mut spec = CampaignSpec::load(&path).expect("spec loads");
         if let Some(f) = fidelity {
             spec.fidelity = Some(f.to_string());
         }
-        let cells = spec.expand().expect("dataset spec expands");
+        let cells = spec.expand().expect("spec expands");
         let keys: Vec<&str> = cells.iter().map(|c| c.key.as_str()).collect();
-        let got = fingerprint(&keys);
-        if got != pinned {
-            drift.push(format!("{file} {fidelity:?}: {got}"));
+        let labels: Vec<String> = cells.iter().map(|c| c.label()).collect();
+        let labels: Vec<&str> = labels.iter().map(String::as_str).collect();
+        for (what, got, pinned) in [
+            ("keys", fingerprint(&keys), keys_pin),
+            ("labels", fingerprint(&labels), labels_pin),
+        ] {
+            if got != pinned {
+                drift.push(format!("{file} {fidelity:?} {what}: {got}"));
+            }
         }
     }
-    assert!(drift.is_empty(), "cell keys drifted:\n{}", drift.join("\n"));
+    assert!(drift.is_empty(), "cells drifted:\n{}", drift.join("\n"));
 }

@@ -637,3 +637,75 @@ fn campaign_fidelity_flag_equals_the_spec_field() {
     let _ = std::fs::remove_file(&plain);
     let _ = std::fs::remove_file(&written);
 }
+
+/// `--page-bytes` and `--migrate-budget-gbps` on `campaign` fill only
+/// what the spec leaves unset, as `--fidelity` does: a spec that writes
+/// its tiering knobs runs as written, and the flags equal writing them.
+#[test]
+fn campaign_tiering_knob_flags_fill_only_unset_fields() {
+    let plain = tmp("knob-flag-plain.json");
+    let written = tmp("knob-flag-written.json");
+    let grid = r#""platforms":["emr2s"],"devices":["cxl-b"],"workloads":["605.mcf"],"mem_refs":4000,"policies":["lru-hotness"]"#;
+    std::fs::write(&plain, format!(r#"{{"name":"knob",{grid}}}"#)).expect("write spec");
+    std::fs::write(
+        &written,
+        format!(r#"{{"name":"knob",{grid},"page_bytes":65536,"migrate_budget_gbps":0.5}}"#),
+    )
+    .expect("write spec");
+    let run = |spec: &std::path::Path, extra: &[&str]| {
+        let out = melody()
+            .args([
+                "campaign",
+                spec.to_str().expect("utf8"),
+                "--no-cache",
+                "--json",
+            ])
+            .args(extra)
+            .output()
+            .expect("run melody");
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let by_spec = run(&written, &[]);
+    assert_ne!(
+        run(&plain, &[]),
+        by_spec,
+        "the knobs must change the result"
+    );
+    let knobs = ["--page-bytes", "65536", "--migrate-budget-gbps", "0.5"];
+    assert_eq!(run(&plain, &knobs), by_spec);
+    let defaults = ["--page-bytes", "4096", "--migrate-budget-gbps", "8"];
+    assert_eq!(run(&written, &defaults), by_spec, "the spec wins");
+    let _ = std::fs::remove_file(&plain);
+    let _ = std::fs::remove_file(&written);
+}
+
+/// An unknown `<device>` keyword exits 2 naming it and listing the device
+/// classes and suffixes, on every command that takes one.
+#[test]
+fn unknown_device_keyword_exits_2_listing_the_classes() {
+    let out_path = tmp("unknown-device-trace.json");
+    let out_path = out_path.to_str().expect("utf8");
+    let cases: [&[&str]; 6] = [
+        &["run", "605.mcf", "cxl-z", "--refs", "1000"],
+        &["probe", "cxl-z"],
+        &["mio", "cxl-z"],
+        &["mlc", "cxl-z"],
+        &["trace", "cxl-z", "--out", out_path],
+        &["cpmu", "cxl-z"],
+    ];
+    for args in cases {
+        let out = melody().args(args).output().expect("run melody");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        for name in ["cxl-z", "cxl-b", "skx-410", "+numa", "+switch", "-x2"] {
+            assert!(stderr.contains(name), "{args:?} must list {name}: {stderr}");
+        }
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+}

@@ -85,7 +85,14 @@ fn inert_fault_config_is_byte_identical_to_baseline_across_jobs() {
     };
     let platform = Platform::emr2s();
     let baseline = presets::cxl_c();
-    let inert = presets::cxl_c().with_faults(melody_mem::FaultConfig::none());
+    // Set on the config directly: `with_faults` returns an inert regime's
+    // spec unchanged, so only this spelling reaches the device's own
+    // inert path.
+    let DeviceSpec::Cxl(mut cfg) = presets::cxl_c() else {
+        panic!("CXL-C is a CXL preset");
+    };
+    cfg.faults = Some(melody_mem::FaultConfig::none());
+    let inert = DeviceSpec::Cxl(cfg);
     let reference = serde_json::to_string(&run_population(
         &platform,
         &presets::local_emr(),
