@@ -31,37 +31,24 @@ fn bench_run_pair(c: &mut Criterion) {
 }
 
 /// End-to-end population sweep, serial vs fanned out: the same
-/// (workload × device-pair) cells run through `run_population` and
-/// `run_population_par`, so the speedup (and byte-identical output) of
-/// the parallel engine is measured at bench scale.
+/// (workload × device-pair) cells run through `exec::parallel_map_with`
+/// on one worker and `exec::parallel_map` on all cores, so the speedup
+/// (and byte-identical output) of the parallel engine is measured at
+/// bench scale.
 fn bench_population_sweep(c: &mut Criterion) {
     let mut g = c.benchmark_group("parallel_population_sweep");
     g.sample_size(10);
     let workloads = bench_workloads();
     let platform = Platform::emr2s();
     let opts = bench_opts();
+    let (local, target) = (presets::local_emr(), presets::cxl_a());
+    let pair = |w: &WorkloadSpec| run_pair(&platform, &local, &target, w, &opts);
     g.bench_function("serial", |b| {
-        b.iter(|| {
-            run_population(
-                &platform,
-                &presets::local_emr(),
-                &presets::cxl_a(),
-                &workloads,
-                &opts,
-            )
-        })
+        b.iter(|| melody::exec::parallel_map_with(1, &workloads, pair))
     });
     g.bench_function("parallel_all_cores", |b| {
         melody::exec::set_jobs(0); // default: all cores
-        b.iter(|| {
-            run_population_par(
-                &platform,
-                &presets::local_emr(),
-                &presets::cxl_a(),
-                &workloads,
-                &opts,
-            )
-        })
+        b.iter(|| melody::exec::parallel_map(&workloads, pair))
     });
     g.finish();
 }

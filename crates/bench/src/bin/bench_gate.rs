@@ -60,23 +60,17 @@ fn run_kernel(name: &str, w: &WorkloadSpec, workloads: &[WorkloadSpec], opts: &R
                 opts,
             ));
         }
-        "population/serial" => {
-            black_box(run_population(
-                &platform,
-                &presets::local_emr(),
-                &presets::cxl_a(),
-                workloads,
-                opts,
-            ));
-        }
-        "population/jobs4" => {
-            black_box(run_population_par(
-                &platform,
-                &presets::local_emr(),
-                &presets::cxl_a(),
-                workloads,
-                opts,
-            ));
+        "population/serial" | "population/jobs4" => {
+            // Serial runs the plain loop; jobs4 fans out over the pool
+            // `time_kernel` sized to 4 workers.
+            let workers = match name {
+                "population/serial" => 1,
+                _ => melody::exec::jobs(),
+            };
+            let (local, target) = (presets::local_emr(), presets::cxl_a());
+            black_box(melody::exec::parallel_map_with(workers, workloads, |w| {
+                run_pair(&platform, &local, &target, w, opts)
+            }));
         }
         _ => unreachable!("unknown kernel {name}"),
     }

@@ -16,15 +16,57 @@
 //! metrics table is appended to stdout and a per-stage wall-clock
 //! breakdown (where each figure's time went) is printed to stderr.
 //!
+//! `--json` prints each figure as one or more JSON values instead of
+//! text.
+//!
+//! The population figures (fig8a–fig8c, fig8e, fig8f, fig9a, fig9a-full,
+//! fig9b, fig11, fig12, fig14, fig15, predict) resolve their cells
+//! against one in-memory journal, so a cell two figures share simulates
+//! once per run.
+//!
 //! IDs: table1, fig1, fig3a, fig3b, fig3c, fig4, fig5, fig6, fig7,
 //! fig8a, fig8b, fig8c, fig8d, fig8e, fig8f, fig9a, fig9a-full, fig9b,
 //! fig11, fig12, fig14, fig15, fig16, placement, ablation, predict, all.
+//! An unknown id or flag exits 2 listing them.
 
 use melody::experiments::{
     ablation, device_curves, fig07, fig08cd, fig09b, fig16, grid, placement, predict, table1,
     tails, Scale,
 };
+use melody::journal::Journal;
 use melody::report::{to_json, Series};
+use melody_stats::ViolinSummary;
+
+/// Every figure id the command line accepts.
+const IDS: [&str; 27] = [
+    "table1",
+    "fig1",
+    "fig3a",
+    "fig3b",
+    "fig3c",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8a",
+    "fig8b",
+    "fig8c",
+    "fig8d",
+    "fig8e",
+    "fig8f",
+    "fig9a",
+    "fig9a-full",
+    "fig9b",
+    "fig11",
+    "fig12",
+    "fig14",
+    "fig15",
+    "fig16",
+    "placement",
+    "ablation",
+    "predict",
+    "all",
+];
 
 fn parse_args() -> (Vec<String>, Scale, bool) {
     let mut ids = Vec::new();
@@ -65,7 +107,19 @@ fn parse_args() -> (Vec<String>, Scale, bool) {
                     });
                 melody::exec::set_jobs(n);
             }
-            id => ids.push(id.to_string()),
+            id if IDS.contains(&id) => ids.push(id.to_string()),
+            other => {
+                let what = if other.starts_with('-') {
+                    "flag"
+                } else {
+                    "figure id"
+                };
+                eprintln!(
+                    "unknown {what} `{other}` (flags: --scale, --json, --telemetry, --jobs; ids: {})",
+                    IDS.join(", ")
+                );
+                std::process::exit(2);
+            }
         }
     }
     if ids.is_empty() {
@@ -82,10 +136,22 @@ fn print_series(title: &str, series: &[Series]) {
     println!();
 }
 
+fn print_violins(title: &str, violins: &[(String, ViolinSummary)]) {
+    println!("== {title} ==");
+    for (label, v) in violins {
+        println!(
+            "{label:12} min {:>6.1} q1 {:>6.1} med {:>6.1} q3 {:>6.1} max {:>7.1}",
+            v.min, v.q1, v.median, v.q3, v.max
+        );
+    }
+    println!();
+}
+
 fn main() {
     let (ids, scale, json) = parse_args();
     let all = ids.iter().any(|i| i == "all");
     let want = |id: &str| all || ids.iter().any(|i| i == id);
+    let mut journal = Journal::in_memory();
 
     if want("table1") {
         let t = table1::run(scale);
@@ -187,7 +253,7 @@ fn main() {
         || want("fig14")
         || want("fig15")
     {
-        let g = grid::run_emr_grid(scale);
+        let g = grid::run_emr_grid(scale, &mut journal);
         if want("fig8a") {
             let s = g.fig8a();
             if json {
@@ -209,18 +275,16 @@ fn main() {
             if json {
                 println!("{}", to_json(&v));
             } else {
-                println!("== fig9a: slowdown violins (EMR subset; see also spectrum grid) ==");
-                for (label, violin) in &v {
-                    println!(
-                        "{label:12} min {:>6.1} q1 {:>6.1} med {:>6.1} q3 {:>6.1} max {:>7.1}",
-                        violin.min, violin.q1, violin.median, violin.q3, violin.max
-                    );
-                }
-                println!();
+                print_violins(
+                    "fig9a: slowdown violins (EMR subset; see also spectrum grid)",
+                    &v,
+                );
             }
         }
         if want("fig11") {
-            println!("== fig11: Spa estimator accuracy ==");
+            if !json {
+                println!("== fig11: Spa estimator accuracy ==");
+            }
             for label in ["EMR-NUMA", "EMR-CXL-A", "EMR-CXL-B"] {
                 let r = g.fig11(label);
                 if json {
@@ -235,7 +299,9 @@ fn main() {
                     );
                 }
             }
-            println!();
+            if !json {
+                println!();
+            }
         }
         if want("fig12") {
             let shift = g.fig12a("EMR-CXL-B");
@@ -276,7 +342,7 @@ fn main() {
         }
     }
     if want("fig8c") {
-        let d = fig08cd::fig08c(scale);
+        let d = fig08cd::fig08c(scale, &mut journal);
         if json {
             println!("{}", to_json(&d));
         } else {
@@ -296,7 +362,7 @@ fn main() {
         }
     }
     if want("fig8e") {
-        let g = grid::run_fig8e_grid(scale);
+        let g = grid::run_fig8e_grid(scale, &mut journal);
         let s = g.fig8a();
         if json {
             println!("{}", to_json(&s));
@@ -305,7 +371,7 @@ fn main() {
         }
     }
     if want("fig8f") {
-        let d = fig08cd::fig08f(scale);
+        let d = fig08cd::fig08f(scale, &mut journal);
         if json {
             println!("{}", to_json(&d));
         } else {
@@ -313,19 +379,15 @@ fn main() {
         }
     }
     if want("fig9a-full") {
-        let g = grid::run_spectrum_grid(scale);
-        let v = g.fig9a();
-        println!("== fig9a: full 11-setup latency spectrum ==");
-        for (label, violin) in &v {
-            println!(
-                "{label:12} min {:>6.1} q1 {:>6.1} med {:>6.1} q3 {:>6.1} max {:>7.1}",
-                violin.min, violin.q1, violin.median, violin.q3, violin.max
-            );
+        let v = grid::run_spectrum_grid(scale, &mut journal).fig9a();
+        if json {
+            println!("{}", to_json(&v));
+        } else {
+            print_violins("fig9a: full 11-setup latency spectrum", &v);
         }
-        println!();
     }
     if want("fig9b") {
-        let d = fig09b::run(scale);
+        let d = fig09b::run(scale, &mut journal);
         if json {
             println!("{}", to_json(&d));
         } else {
@@ -379,7 +441,7 @@ fn main() {
         }
     }
     if want("predict") {
-        let d = predict::run(scale);
+        let d = predict::run(scale, &mut journal);
         if json {
             println!("{}", to_json(&d));
         } else {

@@ -7,9 +7,10 @@
 //! ```
 
 use melody::experiments::{grid, Scale};
+use melody::journal::Journal;
 
 fn main() {
-    let g = grid::run_emr_grid(Scale::Smoke);
+    let g = grid::run_emr_grid(Scale::Smoke, &mut Journal::in_memory());
 
     // Per-workload breakdown on CXL-B (Figure 14).
     println!("{}", g.fig14("EMR-CXL-B").render());

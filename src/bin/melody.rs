@@ -1083,7 +1083,8 @@ fn cmd_trace(cli: &Cli) {
         .map_or_else(|| format!("trace_{dname}.json"), str::to_string);
     let n = cli.int("--workloads").unwrap_or(6);
     let workloads: Vec<_> = registry::all().into_iter().take(n).collect();
-    let outcomes = run_population_par(&platform, &local, &spec, &workloads, &opts);
+    let outcomes =
+        melody::exec::parallel_map(&workloads, |w| run_pair(&platform, &local, &spec, w, &opts));
     let c = melody_telemetry::collect();
     let trace = c.chrome_trace();
     if let Err(e) = std::fs::write(&out_path, &trace) {

@@ -8,9 +8,11 @@
 //! fingerprint over everything that determines its result (platform
 //! parameters, device spec with faults and policy applied, workload
 //! spec, run options, and the code-schema version stamps).
-//! [`run_campaign`] then consults a journal (same-run resume) and a
+//! [`resolve`] then consults a journal (same-run resume) and a
 //! [`ResultCache`] (cross-run warm starts) before dispatching only the
-//! misses to the resilient worker pool.
+//! misses to the resilient worker pool; [`run_campaign`] resolves a
+//! spec's cells this way, and the paper's population figures
+//! (`experiments::grid`) resolve theirs the same way.
 //!
 //! Byte-identity contract: every cell result — journaled, cached, or
 //! freshly simulated — passes through exactly one compact-JSON
@@ -755,19 +757,10 @@ fn row_from(cell: &CampaignCell, o: &PairOutcome) -> CampaignRow {
     }
 }
 
-/// Runs a campaign (or one shard of it).
-///
-/// Resolution order per owned cell: the `journal` (same-run resume,
-/// keyed by the same fingerprint), then `cache` (cross-run warm start),
-/// then simulation on the resilient worker pool. Fresh results are
-/// recorded to both, and every result passes through one compact-JSON
-/// round-trip so warm, cold, resumed and sharded runs serialize
-/// byte-identically. The returned [`CampaignRun`] pairs the byte-stable
-/// report with per-run resolution provenance ([`CampaignRunStats`]) —
-/// how many cells came from the journal, the cache, or fresh
-/// simulation, and how many were skipped by `policy`'s cancellation
-/// token (a drained run reports them as `cancelled`, not failed, so a
-/// restart can finish the campaign).
+/// Runs a campaign (or one shard of it): expands the spec, keeps the
+/// cells `shard` owns, and [`resolve`]s them into report rows. The
+/// returned [`CampaignRun`] pairs the byte-stable report with per-run
+/// resolution provenance ([`CampaignRunStats`]).
 pub fn run_campaign(
     spec: &CampaignSpec,
     shard: Shard,
@@ -778,19 +771,64 @@ pub fn run_campaign(
     let _span = melody_telemetry::span("campaign");
     let cells = spec.expand()?;
     let total_cells = cells.len();
-    let owned: Vec<&CampaignCell> = cells.iter().filter(|c| shard.owns(c.index)).collect();
+    let owned: Vec<CampaignCell> = cells.into_iter().filter(|c| shard.owns(c.index)).collect();
+    let resolved = resolve(&owned, journal, cache, policy);
+    let rows = owned
+        .iter()
+        .zip(&resolved.outcomes)
+        .filter_map(|(cell, o)| o.as_ref().map(|o| row_from(cell, o)))
+        .collect();
+    Ok(CampaignRun {
+        report: CampaignReport {
+            name: spec.name.clone(),
+            shard: shard.to_string(),
+            total_cells,
+            rows,
+            errors: resolved.errors,
+        },
+        stats: resolved.stats,
+    })
+}
+
+/// Cells as [`resolve`] returns them.
+#[derive(Debug)]
+pub struct Resolved {
+    /// One slot per cell, in the order given: its outcome, or `None`
+    /// when the cell failed or was cancelled.
+    pub outcomes: Vec<Option<PairOutcome>>,
+    /// Where each cell came from on this call.
+    pub stats: CampaignRunStats,
+    /// The failed cells, indexed by [`CampaignCell::index`].
+    pub errors: Vec<CellError>,
+}
+
+/// Resolves cells to their outcomes.
+///
+/// Resolution order per cell: the `journal` (same-run resume, keyed by
+/// the cell fingerprint), then `cache` (cross-run warm start), then
+/// simulation on the resilient worker pool. Fresh results are recorded
+/// to both, and every result passes through one compact-JSON round-trip
+/// so warm, cold, resumed and sharded runs serialize byte-identically.
+/// Cells skipped by `policy`'s cancellation token count as `cancelled`,
+/// not failed, so a restart can finish them.
+pub fn resolve(
+    cells: &[CampaignCell],
+    journal: &mut Journal,
+    cache: Option<&ResultCache>,
+    policy: &CellPolicy,
+) -> Resolved {
     let mut stats = CampaignRunStats {
-        owned: owned.len(),
+        owned: cells.len(),
         ..Default::default()
     };
     if let Some(p) = &policy.progress {
-        p.begin(owned.len());
+        p.begin(cells.len());
     }
 
     // Pass 1 (serial): resolve journal and cache hits.
-    let mut slots: Vec<Option<PairOutcome>> = Vec::with_capacity(owned.len());
+    let mut outcomes: Vec<Option<PairOutcome>> = Vec::with_capacity(cells.len());
     let mut todo: Vec<&CampaignCell> = Vec::new();
-    for cell in &owned {
+    for cell in cells {
         let mut from_journal = false;
         let restored = match journal.get(&cell.key) {
             Some(json) => {
@@ -806,7 +844,7 @@ pub fn run_campaign(
         };
         match restored.and_then(|json| serde_json::from_str::<PairOutcome>(&json).ok()) {
             Some(o) => {
-                slots.push(Some(o));
+                outcomes.push(Some(o));
                 if let Some(p) = &policy.progress {
                     p.tick(if from_journal {
                         crate::progress::Resolution::Journal
@@ -821,14 +859,14 @@ pub fn run_campaign(
                 }
             }
             None => {
-                slots.push(None);
+                outcomes.push(None);
                 todo.push(cell);
             }
         }
     }
     stats.simulated = todo.len();
     if melody_telemetry::metrics_on() {
-        melody_telemetry::count("campaign.cells", owned.len() as u64);
+        melody_telemetry::count("campaign.cells", cells.len() as u64);
         melody_telemetry::count("campaign.simulated", todo.len() as u64);
     }
 
@@ -855,7 +893,7 @@ pub fn run_campaign(
     );
 
     let mut errors = Vec::new();
-    let todo_slots: Vec<usize> = slots
+    let todo_slots: Vec<usize> = outcomes
         .iter()
         .enumerate()
         .filter(|(_, s)| s.is_none())
@@ -863,7 +901,7 @@ pub fn run_campaign(
         .collect();
     for ((slot, cell), r) in todo_slots.into_iter().zip(&todo).zip(results) {
         match r {
-            Ok(o) => slots[slot] = Some(o),
+            Ok(o) => outcomes[slot] = Some(o),
             Err(e) if e.kind == crate::exec::CellErrorKind::Cancelled => {
                 // A drained cell is pending, not broken: it was counted
                 // as `simulated` optimistically above; reclassify.
@@ -878,22 +916,11 @@ pub fn run_campaign(
     }
     stats.simulated -= errors.len();
     stats.failed = errors.len();
-
-    let rows = owned
-        .iter()
-        .zip(&slots)
-        .filter_map(|(cell, s)| s.as_ref().map(|o| row_from(cell, o)))
-        .collect();
-    Ok(CampaignRun {
-        report: CampaignReport {
-            name: spec.name.clone(),
-            shard: shard.to_string(),
-            total_cells,
-            rows,
-            errors,
-        },
+    Resolved {
+        outcomes,
         stats,
-    })
+        errors,
+    }
 }
 
 #[cfg(test)]

@@ -12,13 +12,14 @@
 
 use melody_cpu::Platform;
 use melody_mem::presets;
-use melody_stats::Cdf;
 use melody_workloads::{registry, Suite, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 
+use crate::journal::Journal;
 use crate::report::Series;
-use crate::runner::{run_pair, run_population_par, RunOptions};
+use crate::runner::{run_pair, RunOptions};
 
+use super::grid::{population, Setup};
 use super::Scale;
 
 /// Figure 8c data: slowdown CDFs for CXL-A, 410 ns NUMA, and CXL-A+NUMA.
@@ -28,45 +29,24 @@ pub struct Fig08cData {
     pub cdfs: Vec<Series>,
 }
 
-/// Runs Figure 8c over a workload subset (the paper uses 121 workloads).
-pub fn fig08c(scale: Scale) -> Fig08cData {
+/// The setups of Figure 8c: CXL-A, 2-hop NUMA and CXL-A behind a NUMA hop.
+const FIG8C: [Setup; 3] = [
+    ("CXL-A", Platform::emr2s, presets::cxl_a),
+    ("SKX8S-410ns", Platform::skx8s, presets::skx8s_410),
+    ("CXL-A+NUMA", Platform::emr2s, || {
+        presets::cxl_a().with_numa_hop()
+    }),
+];
+
+/// Runs Figure 8c over a workload subset (the paper uses 121 workloads),
+/// resolving its cells against `journal`.
+pub fn fig08c(scale: Scale, journal: &mut Journal) -> Fig08cData {
     let workloads: Vec<WorkloadSpec> = scale
         .select_workloads()
         .into_iter()
         .take(121.min(scale.grid_workloads()))
         .collect();
-    let opts = RunOptions {
-        mem_refs: scale.mem_refs(),
-        ..Default::default()
-    };
-    let configs = [
-        (
-            "CXL-A",
-            Platform::emr2s(),
-            presets::local_emr(),
-            presets::cxl_a(),
-        ),
-        (
-            "SKX8S-410ns",
-            Platform::skx8s(),
-            presets::local_skx8s(),
-            presets::skx8s_410(),
-        ),
-        (
-            "CXL-A+NUMA",
-            Platform::emr2s(),
-            presets::local_emr(),
-            presets::cxl_a().with_numa_hop(),
-        ),
-    ];
-    let cdfs = configs
-        .into_iter()
-        .map(|(label, platform, local, target)| {
-            let outcomes = run_population_par(&platform, &local, &target, &workloads, &opts);
-            let cdf = Cdf::from_samples(outcomes.iter().map(|o| o.slowdown * 100.0));
-            Series::new(label, cdf.points())
-        })
-        .collect();
+    let cdfs = population(&FIG8C, &workloads, scale, journal).fig8a();
     Fig08cData { cdfs }
 }
 
@@ -152,38 +132,26 @@ pub struct Fig08fData {
     pub cdfs: Vec<Series>,
 }
 
-/// Runs Figure 8f on the SPEC CPU 2017 suite (EMR2S' host).
-pub fn fig08f(scale: Scale) -> Fig08fData {
+/// The setups of Figure 8f on the EMR2S' host: NUMA and CXL-D, alone
+/// and 2-way interleaved.
+const FIG8F: [Setup; 3] = [
+    ("NUMA*", Platform::emr2s_prime, presets::numa_emr_prime),
+    ("CXL-D x1", Platform::emr2s_prime, presets::cxl_d),
+    ("CXL-D x2", Platform::emr2s_prime, || {
+        presets::cxl_d().interleaved(2)
+    }),
+];
+
+/// Runs Figure 8f on the SPEC CPU 2017 suite (EMR2S' host), resolving
+/// its cells against `journal`.
+pub fn fig08f(scale: Scale, journal: &mut Journal) -> Fig08fData {
     let mut workloads = registry::by_suite(Suite::SpecCpu2017);
     if scale != Scale::Full {
         let keep = (scale.grid_workloads() / 2).max(8);
         let stride = (workloads.len() / keep).max(1);
         workloads = workloads.into_iter().step_by(stride).collect();
     }
-    let platform = Platform::emr2s_prime();
-    let opts = RunOptions {
-        mem_refs: scale.mem_refs(),
-        ..Default::default()
-    };
-    let configs = [
-        ("NUMA*", presets::numa_emr_prime()),
-        ("CXL-D x1", presets::cxl_d()),
-        ("CXL-D x2", presets::cxl_d().interleaved(2)),
-    ];
-    let cdfs = configs
-        .into_iter()
-        .map(|(label, target)| {
-            let outcomes = run_population_par(
-                &platform,
-                &presets::local_emr_prime(),
-                &target,
-                &workloads,
-                &opts,
-            );
-            let cdf = Cdf::from_samples(outcomes.iter().map(|o| o.slowdown * 100.0));
-            Series::new(label, cdf.points())
-        })
-        .collect();
+    let cdfs = population(&FIG8F, &workloads, scale, journal).fig8a();
     Fig08fData { cdfs }
 }
 
@@ -220,7 +188,7 @@ mod tests {
 
     #[test]
     fn fig8f_interleaving_closes_the_gap() {
-        let d = fig08f(Scale::Smoke);
+        let d = fig08f(Scale::Smoke, &mut Journal::in_memory());
         let worst = |label: &str| {
             d.cdfs
                 .iter()

@@ -1,15 +1,14 @@
 //! Figure 9b: YCSB A–F slowdowns on Redis and VoltDB under NUMA, CXL-A
 //! and CXL-B — cloud workloads' super-linear sensitivity to latency.
 
-use melody_cpu::Platform;
-use melody_mem::presets;
 use melody_workloads::registry::ycsb;
 use melody_workloads::Suite;
 use serde::{Deserialize, Serialize};
 
+use crate::journal::Journal;
 use crate::report::TableData;
-use crate::runner::{run_population_par, RunOptions};
 
+use super::grid::{population, EMR};
 use super::Scale;
 
 /// One bar of Figure 9b.
@@ -67,35 +66,21 @@ impl Fig09bData {
     }
 }
 
-/// Runs Figure 9b.
-pub fn run(scale: Scale) -> Fig09bData {
-    let platform = Platform::emr2s();
-    let opts = RunOptions {
-        mem_refs: scale.mem_refs(),
-        ..Default::default()
-    };
-    let devices = [
-        ("EMR-NUMA", presets::numa_emr()),
-        ("EMR-CXL-A", presets::cxl_a()),
-        ("EMR-CXL-B", presets::cxl_b()),
-    ];
+/// Runs Figure 9b on the first three EMR setups (NUMA, CXL-A, CXL-B),
+/// resolving its cells against `journal`.
+pub fn run(scale: Scale, journal: &mut Journal) -> Fig09bData {
+    let suites = [(Suite::Redis, "redis"), (Suite::Voltdb, "voltdb")];
+    let workloads: Vec<_> = suites.iter().flat_map(|(s, _)| ycsb(*s)).collect();
+    let g = population(&EMR[..3], &workloads, scale, journal);
     let mut bars = Vec::new();
-    for suite in [Suite::Redis, Suite::Voltdb] {
-        let workloads = ycsb(suite);
-        let backend = if suite == Suite::Redis {
-            "redis"
-        } else {
-            "voltdb"
-        };
-        for (dev_label, spec) in &devices {
-            let outcomes =
-                run_population_par(&platform, &presets::local_emr(), spec, &workloads, &opts);
-            for o in outcomes {
+    for (suite, backend) in suites {
+        for (device, outcomes) in &g.cells {
+            for o in outcomes.iter().filter(|o| o.suite == suite) {
                 let mix = o.workload.rsplit('-').next().unwrap_or("?").to_string();
                 bars.push(YcsbBar {
                     backend: backend.into(),
                     mix,
-                    device: dev_label.to_string(),
+                    device: device.clone(),
                     slowdown_pct: o.slowdown * 100.0,
                 });
             }
@@ -110,7 +95,7 @@ mod tests {
 
     #[test]
     fn ycsb_slowdowns_grow_superlinearly_with_latency() {
-        let d = run(Scale::Smoke);
+        let d = run(Scale::Smoke, &mut Journal::in_memory());
         assert_eq!(d.bars.len(), 2 * 3 * 6);
         // For each (backend, mix): NUMA < CXL-A < CXL-B, and the increase
         // from NUMA->CXL-B outpaces the latency ratio (271/193 = 1.40).

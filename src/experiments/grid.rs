@@ -3,16 +3,125 @@
 //! (violin plots over the latency spectrum), Figure 11 (Spa accuracy),
 //! Figure 12 (prefetcher shift), Figure 14 (per-workload breakdowns) and
 //! Figure 15 (breakdown CDFs).
+//!
+//! A population is a table of [`Setup`]s times a workload list. Its
+//! cells are campaign cells, keyed as `melody campaign` keys the same
+//! configuration, and [`population`] resolves them against a
+//! caller-owned [`Journal`]: figures that share one journal simulate
+//! each distinct cell once.
 
+use melody_cpu::Platform;
+use melody_mem::{presets, DeviceSpec};
 use melody_spa::{accuracy, prefetch, AccuracyReport};
 use melody_stats::{Cdf, ViolinSummary};
+use melody_workloads::WorkloadSpec;
 use serde::{Deserialize, Serialize};
 
+use crate::campaign::{self, local_for_platform, Axis, CampaignCell, Draft};
+use crate::exec::CellPolicy;
+use crate::journal::Journal;
 use crate::report::{Series, TableData};
-use crate::runner::{run_pair, PairOutcome, RunOptions};
-use crate::testbed::{emr_cxl_setups, full_latency_spectrum, spr_cxl_setups, Setup};
+use crate::runner::{PairOutcome, RunOptions};
 
 use super::Scale;
+
+/// One testbed setup of a population figure: its label, platform and
+/// target device. The baseline is the platform's local DRAM
+/// ([`local_for_platform`]), as in a campaign cell.
+pub type Setup = (&'static str, fn() -> Platform, fn() -> DeviceSpec);
+
+/// The EMR2S setups of Figure 8a: NUMA and all four CXL devices.
+pub const EMR: [Setup; 5] = [
+    ("EMR-NUMA", Platform::emr2s, presets::numa_emr),
+    ("EMR-CXL-A", Platform::emr2s, presets::cxl_a),
+    ("EMR-CXL-B", Platform::emr2s, presets::cxl_b),
+    ("EMR-CXL-C", Platform::emr2s, presets::cxl_c),
+    ("EMR-CXL-D", Platform::emr2s, presets::cxl_d),
+];
+
+/// The setups of Figure 8e: CXL-A and CXL-B on SPR2S, then on EMR2S.
+pub const SPR_VS_EMR: [Setup; 4] = [
+    ("SPR-CXL-A", Platform::spr2s, presets::cxl_a),
+    ("SPR-CXL-B", Platform::spr2s, presets::cxl_b),
+    ("EMR-CXL-A", Platform::emr2s, presets::cxl_a),
+    ("EMR-CXL-B", Platform::emr2s, presets::cxl_b),
+];
+
+/// The 11-setup latency spectrum of Figure 9a, in the paper's order
+/// (fastest target first).
+pub const SPECTRUM: [Setup; 11] = [
+    ("SKX-140ns", Platform::skx2s, presets::skx_140),
+    ("SKX-190ns", Platform::skx2s, presets::skx_190),
+    ("SPR-NUMA", Platform::spr2s, presets::numa_spr),
+    ("SPR-CXL-A", Platform::spr2s, presets::cxl_a),
+    ("SPR-CXL-B", Platform::spr2s, presets::cxl_b),
+    ("EMR-NUMA", Platform::emr2s, presets::numa_emr),
+    ("EMR-CXL-A", Platform::emr2s, presets::cxl_a),
+    ("EMR-CXL-B", Platform::emr2s, presets::cxl_b),
+    ("EMR-CXL-D", Platform::emr2s, presets::cxl_d),
+    ("EMR-CXL-C", Platform::emr2s, presets::cxl_c),
+    ("SKX-410ns", Platform::skx8s, presets::skx8s_410),
+];
+
+/// The campaign cells of `setups` × `workloads` at `scale`, setup-major.
+/// Each is labelled `<setup>/<workload>` and keyed by its resolved
+/// configuration alone, so it shares its key with the `melody campaign`
+/// cell of the same platform, device and workload.
+fn setup_cells(setups: &[Setup], workloads: &[WorkloadSpec], scale: Scale) -> Vec<CampaignCell> {
+    let opts = RunOptions {
+        mem_refs: scale.mem_refs(),
+        ..Default::default()
+    };
+    let mut cells = Vec::with_capacity(setups.len() * workloads.len());
+    for (label, platform, target) in setups {
+        let platform = platform();
+        let local = local_for_platform(&platform);
+        let target = target();
+        for w in workloads {
+            let mut draft = Draft {
+                platform: Some((platform.clone(), local.clone())),
+                target: Some(target.clone()),
+                workload: Some(w.clone()),
+                ..Default::default()
+            };
+            draft.labels[Axis::Device as usize] = label.to_string();
+            draft.labels[Axis::Workload as usize] = w.name.clone();
+            cells.push(draft.finish(cells.len(), &opts));
+        }
+    }
+    cells
+}
+
+/// Resolves `setups` × `workloads` at `scale` through
+/// [`campaign::resolve`]: cells `journal` holds are restored, the rest
+/// simulate on the worker pool and are recorded in it.
+///
+/// # Panics
+///
+/// Panics if a cell panics.
+pub fn population(
+    setups: &[Setup],
+    workloads: &[WorkloadSpec],
+    scale: Scale,
+    journal: &mut Journal,
+) -> GridData {
+    let cells = setup_cells(setups, workloads, scale);
+    let resolved = campaign::resolve(&cells, journal, None, &CellPolicy::default());
+    if let Some(e) = resolved.errors.first() {
+        panic!("population cell failed: {e}");
+    }
+    // Nothing cancels these cells, so every slot without an error is
+    // filled.
+    let mut outcomes = resolved.outcomes.into_iter().flatten();
+    let cells = setups
+        .iter()
+        .map(|(label, ..)| {
+            let chunk = outcomes.by_ref().take(workloads.len()).collect();
+            (label.to_string(), chunk)
+        })
+        .collect();
+    GridData { cells }
+}
 
 /// All pair outcomes for a set of setups over one workload population.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -166,65 +275,31 @@ impl GridData {
     }
 }
 
-/// Runs a grid over the given setups.
-///
-/// The (setup × workload) cells are flattened into one work list and
-/// fanned out over the configured worker pool ([`crate::exec::jobs`]),
-/// so all cores stay busy even when there are fewer setups than cores.
-/// Each cell's RNG seed derives from its identity alone, so the output
-/// is identical to the serial nested loop for any worker count.
-pub fn run_grid(setups: &[Setup], scale: Scale) -> GridData {
-    let workloads = scale.select_workloads();
-    let opts = RunOptions {
-        mem_refs: scale.mem_refs(),
-        ..Default::default()
-    };
-    let flat: Vec<(&Setup, &melody_workloads::WorkloadSpec)> = setups
-        .iter()
-        .flat_map(|s| workloads.iter().map(move |w| (s, w)))
-        .collect();
-    let outcomes = crate::exec::parallel_map(&flat, |(s, w)| {
-        run_pair(&s.platform, &s.local, &s.target, w, &opts)
-    });
-    let mut rest = outcomes.as_slice();
-    let cells = setups
-        .iter()
-        .map(|s| {
-            let (chunk, tail) = rest.split_at(workloads.len());
-            rest = tail;
-            (s.label.clone(), chunk.to_vec())
-        })
-        .collect();
-    GridData { cells }
-}
-
 /// The EMR grid of Figure 8a (NUMA + CXL A–D).
-pub fn run_emr_grid(scale: Scale) -> GridData {
-    run_grid(&emr_cxl_setups(), scale)
+pub fn run_emr_grid(scale: Scale, journal: &mut Journal) -> GridData {
+    population(&EMR, &scale.select_workloads(), scale, journal)
 }
 
 /// The SPR/EMR comparison grid of Figure 8e.
-pub fn run_fig8e_grid(scale: Scale) -> GridData {
-    let mut setups = spr_cxl_setups();
-    setups.extend(
-        emr_cxl_setups()
-            .into_iter()
-            .filter(|s| s.label.contains("CXL-A") || s.label.contains("CXL-B")),
-    );
-    run_grid(&setups, scale)
+pub fn run_fig8e_grid(scale: Scale, journal: &mut Journal) -> GridData {
+    population(&SPR_VS_EMR, &scale.select_workloads(), scale, journal)
 }
 
 /// The 11-setup latency-spectrum grid of Figure 9a.
-pub fn run_spectrum_grid(scale: Scale) -> GridData {
-    run_grid(&full_latency_spectrum(), scale)
+pub fn run_spectrum_grid(scale: Scale, journal: &mut Journal) -> GridData {
+    population(&SPECTRUM, &scale.select_workloads(), scale, journal)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::OnceLock;
+
     use super::*;
 
-    fn grid() -> GridData {
-        run_emr_grid(Scale::Smoke)
+    /// The smoke EMR grid, built once per test binary.
+    fn grid() -> &'static GridData {
+        static GRID: OnceLock<GridData> = OnceLock::new();
+        GRID.get_or_init(|| run_emr_grid(Scale::Smoke, &mut Journal::in_memory()))
     }
 
     #[test]
@@ -308,5 +383,83 @@ mod tests {
             assert!(v.max >= v.median, "{label}");
             assert!(!v.density.is_empty(), "{label}");
         }
+    }
+
+    #[test]
+    fn spectrum_has_eleven_setups_in_paper_order() {
+        assert_eq!(SPECTRUM.len(), 11);
+        assert_eq!(SPECTRUM[0].0, "SKX-140ns");
+        assert_eq!(SPECTRUM[10].0, "SKX-410ns");
+        // Latency ordering: first is the fastest target, last the slowest.
+        assert!(SPECTRUM[0].2().nominal_latency_ns() < SPECTRUM[10].2().nominal_latency_ns());
+    }
+
+    #[test]
+    fn emr_setups_cover_all_cxl_devices() {
+        for d in ["NUMA", "CXL-A", "CXL-B", "CXL-C", "CXL-D"] {
+            assert!(EMR.iter().any(|(l, ..)| l.contains(d)), "missing {d}");
+        }
+    }
+
+    #[test]
+    fn setups_pair_platform_and_baseline() {
+        for cell in setup_cells(&EMR, &Scale::Smoke.select_workloads()[..1], Scale::Smoke) {
+            assert_eq!(cell.platform.name, "EMR2S");
+            assert_eq!(cell.local.name(), "Local");
+        }
+    }
+
+    fn two_workloads() -> Vec<WorkloadSpec> {
+        ["605.mcf", "541.leela"]
+            .iter()
+            .map(|n| melody_workloads::registry::by_name(n).expect("workload"))
+            .collect()
+    }
+
+    #[test]
+    fn resolving_a_population_again_simulates_nothing() {
+        let ws = two_workloads();
+        let mut journal = Journal::in_memory();
+        let first = population(&EMR[..2], &ws, Scale::Smoke, &mut journal);
+        assert_eq!(journal.len(), 4);
+        let cells = setup_cells(&EMR[..2], &ws, Scale::Smoke);
+        let again = campaign::resolve(&cells, &mut journal, None, &CellPolicy::default());
+        assert_eq!(again.stats.simulated, 0);
+        assert_eq!(again.stats.journal_hits, 4);
+        let second = population(&EMR[..2], &ws, Scale::Smoke, &mut journal);
+        assert_eq!(
+            crate::report::to_json(&first),
+            crate::report::to_json(&second)
+        );
+    }
+
+    #[test]
+    fn populations_sharing_setups_simulate_only_new_cells() {
+        // SPR_VS_EMR shares EMR-CXL-A with EMR[..2] under the same label
+        // and adds three setups the first population lacks.
+        let ws = two_workloads();
+        let mut journal = Journal::in_memory();
+        population(&EMR[..2], &ws, Scale::Smoke, &mut journal);
+        let cells = setup_cells(&SPR_VS_EMR, &ws, Scale::Smoke);
+        let r = campaign::resolve(&cells, &mut journal, None, &CellPolicy::default());
+        assert_eq!(r.stats.journal_hits, ws.len());
+        assert_eq!(r.stats.simulated, 3 * ws.len());
+        assert_eq!(journal.len(), 5 * ws.len());
+    }
+
+    #[test]
+    fn figure_cells_share_campaign_keys() {
+        let spec = campaign::CampaignSpec {
+            platforms: vec!["emr2s".into()],
+            devices: vec!["cxl-a".into()],
+            scale: Some("smoke".into()),
+            ..Default::default()
+        };
+        let keys = |cells: Vec<CampaignCell>| -> Vec<String> {
+            cells.into_iter().map(|c| c.key).collect()
+        };
+        let figure = setup_cells(&EMR[1..2], &Scale::Smoke.select_workloads(), Scale::Smoke);
+        assert_eq!(EMR[1].0, "EMR-CXL-A");
+        assert_eq!(keys(figure), keys(spec.expand().expect("expand")));
     }
 }

@@ -10,9 +10,10 @@ use melody_spa::predict::{
 };
 use serde::{Deserialize, Serialize};
 
+use crate::journal::Journal;
 use crate::report::TableData;
-use crate::runner::{run_pair, RunOptions};
 
+use super::grid::{population, Setup};
 use super::Scale;
 
 /// One predicted target: `(target label, per-workload (name, predicted,
@@ -63,53 +64,31 @@ fn profile_of(label: &str) -> DeviceProfile {
     }
 }
 
+/// The measured device first, then the predicted targets, all on EMR2S.
+const SETUPS: [Setup; 4] = [
+    ("CXL-A", Platform::emr2s, presets::cxl_a),
+    ("NUMA", Platform::emr2s, presets::numa_emr),
+    ("CXL-B", Platform::emr2s, presets::cxl_b),
+    ("CXL-D", Platform::emr2s, presets::cxl_d),
+];
+
 /// Runs the prediction experiment: measure on CXL-A, predict NUMA,
-/// CXL-B and CXL-D.
-pub fn run(scale: Scale) -> PredictData {
-    let platform = Platform::emr2s();
-    let opts = RunOptions {
-        mem_refs: scale.mem_refs(),
-        ..Default::default()
-    };
+/// CXL-B and CXL-D, and score against their measured slowdowns. Cells
+/// resolve against `journal`.
+pub fn run(scale: Scale, journal: &mut Journal) -> PredictData {
     let workloads = scale.select_workloads();
+    let g = population(&SETUPS, &workloads, scale, journal);
+    let (measured_on, measured) = &g.cells[0];
     let local_profile = profile_of("Local");
-    let measured_profile = profile_of("CXL-A");
-
-    // Measure every workload once on CXL-A (and its local baseline),
-    // fanned out over the worker pool.
-    let measured = crate::runner::run_population_par(
-        &platform,
-        &presets::local_emr(),
-        &presets::cxl_a(),
-        &workloads,
-        &opts,
-    );
-
-    // Ground-truth runs for every (target × workload) cell, flattened
-    // into one parallel work list (serial order: targets outer).
-    let target_specs = [
-        ("NUMA", presets::numa_emr()),
-        ("CXL-B", presets::cxl_b()),
-        ("CXL-D", presets::cxl_d()),
-    ];
-    let flat: Vec<(&melody_mem::DeviceSpec, &melody_workloads::WorkloadSpec)> = target_specs
-        .iter()
-        .flat_map(|(_, spec)| workloads.iter().map(move |w| (spec, w)))
-        .collect();
-    let truths = crate::exec::parallel_map(&flat, |(spec, w)| {
-        run_pair(&platform, &presets::local_emr(), spec, w, &opts).slowdown
-    });
+    let measured_profile = profile_of(measured_on);
 
     let mut targets = Vec::new();
-    for ((label, _), truth_chunk) in target_specs
-        .iter()
-        .zip(truths.chunks_exact(workloads.len()))
-    {
+    for (label, truths) in &g.cells[1..] {
         let target_profile = profile_of(label);
         let mut rows = Vec::new();
         let mut predicted = Vec::new();
         let mut actual = Vec::new();
-        for ((w, m), &truth) in workloads.iter().zip(&measured).zip(truth_chunk) {
+        for (m, t) in measured.iter().zip(truths) {
             let demand_gbps = m.local.device_stats.bandwidth_gbps();
             let meas = Measurement {
                 local: &m.local.counters,
@@ -119,15 +98,15 @@ pub fn run(scale: Scale) -> PredictData {
                 demand_gbps,
             };
             let p = predict_slowdown(&meas, target_profile);
-            rows.push((w.name.clone(), p, truth));
+            rows.push((m.workload.clone(), p, t.slowdown));
             predicted.push(p);
-            actual.push(truth);
+            actual.push(t.slowdown);
         }
         let quality = evaluate(&predicted, &actual);
-        targets.push((label.to_string(), rows, quality));
+        targets.push((label.clone(), rows, quality));
     }
     PredictData {
-        measured_on: "CXL-A".into(),
+        measured_on: measured_on.clone(),
         targets,
     }
 }
@@ -138,7 +117,7 @@ mod tests {
 
     #[test]
     fn predictions_track_actuals() {
-        let d = run(Scale::Smoke);
+        let d = run(Scale::Smoke, &mut Journal::in_memory());
         for (label, _, q) in &d.targets {
             let r = q.correlation.unwrap_or(0.0);
             // NUMA is the furthest extrapolation from a CXL-A measurement

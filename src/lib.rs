@@ -47,13 +47,8 @@ pub mod progress;
 pub mod report;
 mod runner;
 pub mod server;
-mod testbed;
 
-pub use runner::{
-    run_pair, run_population, run_population_par, run_population_resilient, run_workload,
-    PairOutcome, RunOptions,
-};
-pub use testbed::{emr_cxl_setups, full_latency_spectrum, spr_cxl_setups, Setup};
+pub use runner::{run_pair, run_workload, PairOutcome, RunOptions};
 
 /// Convenient re-exports of the most used items across the workspace.
 pub mod prelude {
@@ -67,12 +62,8 @@ pub mod prelude {
     pub use crate::journal::Journal;
     pub use crate::progress::{Progress, ProgressSnapshot};
     pub use crate::report::{Series, TableData};
-    pub use crate::runner::{
-        run_pair, run_population, run_population_par, run_population_resilient, run_workload,
-        PairOutcome, RunOptions,
-    };
+    pub use crate::runner::{run_pair, run_workload, PairOutcome, RunOptions};
     pub use crate::server::{ServeConfig, Server, ServerHandle};
-    pub use crate::testbed::{emr_cxl_setups, full_latency_spectrum, Setup};
     pub use melody_cpu::{Core, CoreConfig, CounterSet, Platform, RunResult, Slot};
     pub use melody_mem::{presets, probe, DeviceSpec, Fabric, MemoryDevice, TopologySpec};
     pub use melody_spa::{breakdown, estimates, Breakdown};

@@ -1,5 +1,4 @@
-//! Workload execution: single runs, local-vs-target pairs, and
-//! populations.
+//! Workload execution: single runs and local-vs-target pairs.
 
 use melody_cpu::{Core, CoreConfig, Fidelity, Platform, RunResult, SamplingParams};
 use melody_mem::{DeviceSpec, GuideWindow, PolicyKind};
@@ -245,70 +244,6 @@ pub fn run_pair(
     }
 }
 
-/// Runs a workload population against one device pair, in registry order.
-pub fn run_population(
-    platform: &Platform,
-    local_spec: &DeviceSpec,
-    target_spec: &DeviceSpec,
-    workloads: &[WorkloadSpec],
-    opts: &RunOptions,
-) -> Vec<PairOutcome> {
-    workloads
-        .iter()
-        .map(|w| run_pair(platform, local_spec, target_spec, w, opts))
-        .collect()
-}
-
-/// [`run_population`] fanned out over the configured worker pool
-/// ([`crate::exec::jobs`]).
-///
-/// Each (workload, device-pair) cell derives its RNG seed from the cell
-/// identity alone (`workload_seed`), and cells share no mutable state,
-/// so the result is byte-identical to [`run_population`] — same values,
-/// same order — for any worker count.
-pub fn run_population_par(
-    platform: &Platform,
-    local_spec: &DeviceSpec,
-    target_spec: &DeviceSpec,
-    workloads: &[WorkloadSpec],
-    opts: &RunOptions,
-) -> Vec<PairOutcome> {
-    let _span = melody_telemetry::span("population");
-    crate::exec::parallel_map(workloads, |w| {
-        run_pair(platform, local_spec, target_spec, w, opts)
-    })
-}
-
-/// [`run_population_par`] with per-cell panic isolation: a workload that
-/// panics (bad spec, invalid device config) becomes a structured
-/// [`crate::exec::CellError`] instead of killing the sweep, and every
-/// other workload still completes. Successful outcomes keep workload
-/// order; errors carry the failed workload's name as the cell label.
-pub fn run_population_resilient(
-    platform: &Platform,
-    local_spec: &DeviceSpec,
-    target_spec: &DeviceSpec,
-    workloads: &[WorkloadSpec],
-    opts: &RunOptions,
-    policy: &crate::exec::CellPolicy,
-) -> (Vec<PairOutcome>, Vec<crate::exec::CellError>) {
-    let results = crate::exec::run_cells(
-        workloads,
-        policy,
-        |_, w| w.name.clone(),
-        |w| run_pair(platform, local_spec, target_spec, w, opts),
-    );
-    let mut outcomes = Vec::new();
-    let mut errors = Vec::new();
-    for r in results {
-        match r {
-            Ok(o) => outcomes.push(o),
-            Err(e) => errors.push(e),
-        }
-    }
-    (outcomes, errors)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,21 +317,5 @@ mod tests {
         );
         assert_eq!(a.local.counters, b.local.counters);
         assert_eq!(a.target.counters, b.target.counters);
-    }
-
-    #[test]
-    fn population_preserves_order() {
-        let ws: Vec<_> = registry::all().into_iter().take(3).collect();
-        let out = run_population(
-            &Platform::emr2s(),
-            &presets::local_emr(),
-            &presets::numa_emr(),
-            &ws,
-            &opts(),
-        );
-        assert_eq!(out.len(), 3);
-        for (w, o) in ws.iter().zip(&out) {
-            assert_eq!(w.name, o.workload);
-        }
     }
 }

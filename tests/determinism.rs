@@ -4,6 +4,19 @@
 use melody::prelude::*;
 use melody_workloads::mlc::{loaded_latency, MlcConfig};
 
+/// Runs each workload on EMR local DRAM vs `target` on `jobs` workers
+/// (`1` is the plain serial loop), in workload order.
+fn population(
+    target: &DeviceSpec,
+    workloads: &[WorkloadSpec],
+    opts: &RunOptions,
+    jobs: usize,
+) -> Vec<PairOutcome> {
+    melody::exec::parallel_map_with(jobs, workloads, |w| {
+        run_pair(&Platform::emr2s(), &presets::local_emr(), target, w, opts)
+    })
+}
+
 #[test]
 fn full_stack_run_is_deterministic() {
     let w = registry::by_name("bfs-web").expect("bfs-web");
@@ -37,9 +50,9 @@ fn full_stack_run_is_deterministic() {
 
 #[test]
 fn parallel_population_is_byte_identical_to_serial() {
-    // The parallel experiment engine's contract: run_population_par
-    // produces the same values in the same order as the serial
-    // run_population, for any worker count. Compare full serialized
+    // The parallel experiment engine's contract: a fanned-out population
+    // produces the same values in the same order as the serial loop, for
+    // any worker count. Compare full serialized
     // outcomes (counters, histograms, samples — everything) across
     // several workloads and two device pairs.
     let workloads: Vec<_> = ["bfs-web", "605.mcf", "520.omnetpp"]
@@ -51,14 +64,10 @@ fn parallel_population_is_byte_identical_to_serial() {
         sample_interval_ns: Some(10_000),
         ..Default::default()
     };
-    let platform = Platform::emr2s();
     for target in [presets::cxl_a(), presets::cxl_c()] {
-        let serial = run_population(&platform, &presets::local_emr(), &target, &workloads, &opts);
+        let serial = population(&target, &workloads, &opts, 1);
         for jobs in [1, 2, 5] {
-            melody::exec::set_jobs(jobs);
-            let par =
-                run_population_par(&platform, &presets::local_emr(), &target, &workloads, &opts);
-            melody::exec::set_jobs(0);
+            let par = population(&target, &workloads, &opts, jobs);
             assert_eq!(
                 serde_json::to_string(&serial).expect("serialize serial"),
                 serde_json::to_string(&par).expect("serialize parallel"),
@@ -83,7 +92,6 @@ fn inert_fault_config_is_byte_identical_to_baseline_across_jobs() {
         mem_refs: 4_000,
         ..Default::default()
     };
-    let platform = Platform::emr2s();
     let baseline = presets::cxl_c();
     // Set on the config directly: `with_faults` returns an inert regime's
     // spec unchanged, so only this spelling reaches the device's own
@@ -93,18 +101,10 @@ fn inert_fault_config_is_byte_identical_to_baseline_across_jobs() {
     };
     cfg.faults = Some(melody_mem::FaultConfig::none());
     let inert = DeviceSpec::Cxl(cfg);
-    let reference = serde_json::to_string(&run_population(
-        &platform,
-        &presets::local_emr(),
-        &baseline,
-        &workloads,
-        &opts,
-    ))
-    .expect("serialize baseline");
+    let reference = serde_json::to_string(&population(&baseline, &workloads, &opts, 1))
+        .expect("serialize baseline");
     for jobs in [1, 4] {
-        melody::exec::set_jobs(jobs);
-        let got = run_population_par(&platform, &presets::local_emr(), &inert, &workloads, &opts);
-        melody::exec::set_jobs(0);
+        let got = population(&inert, &workloads, &opts, jobs);
         assert_eq!(
             reference,
             serde_json::to_string(&got).expect("serialize inert"),
@@ -125,13 +125,10 @@ fn fault_regime_is_byte_identical_across_worker_counts() {
         mem_refs: 4_000,
         ..Default::default()
     };
-    let platform = Platform::emr2s();
     let target = presets::cxl_c().with_faults(melody_mem::FaultConfig::harsh());
     let mut outputs = Vec::new();
     for jobs in [1, 4] {
-        melody::exec::set_jobs(jobs);
-        let got = run_population_par(&platform, &presets::local_emr(), &target, &workloads, &opts);
-        melody::exec::set_jobs(0);
+        let got = population(&target, &workloads, &opts, jobs);
         // The regime must actually fire, or this test guards nothing.
         assert!(
             got.iter().any(|o| !o.target.device_stats.ras.is_zero()),

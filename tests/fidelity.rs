@@ -132,24 +132,20 @@ fn sampled_population_is_byte_identical_across_jobs() {
         fidelity: Fidelity::Sampled,
         ..Default::default()
     };
-    let platform = Platform::emr2s();
-    let serial = run_population(
-        &platform,
-        &presets::local_emr(),
-        &presets::cxl_a(),
-        &workloads,
-        &o,
-    );
+    let population = |jobs| {
+        melody::exec::parallel_map_with(jobs, &workloads, |w| {
+            run_pair(
+                &Platform::emr2s(),
+                &presets::local_emr(),
+                &presets::cxl_a(),
+                w,
+                &o,
+            )
+        })
+    };
+    let serial = population(1);
     for jobs in [1, 4] {
-        melody::exec::set_jobs(jobs);
-        let par = run_population_par(
-            &platform,
-            &presets::local_emr(),
-            &presets::cxl_a(),
-            &workloads,
-            &o,
-        );
-        melody::exec::set_jobs(0);
+        let par = population(jobs);
         assert_eq!(
             serde_json::to_string(&serial).expect("serialize serial"),
             serde_json::to_string(&par).expect("serialize parallel"),

@@ -1,8 +1,17 @@
 //! Regression tests for the paper's five Findings: each asserts the
 //! *shape* of a paper claim on the simulated testbed.
 
-use melody::experiments::{fig08cd, grid, tails, Scale};
+use std::sync::OnceLock;
+
+use melody::experiments::grid::{self, GridData};
+use melody::experiments::{fig08cd, tails, Scale};
 use melody::prelude::*;
+
+/// The smoke EMR grid of Figure 8a, built once per test binary.
+fn emr_grid() -> &'static GridData {
+    static GRID: OnceLock<GridData> = OnceLock::new();
+    GRID.get_or_init(|| grid::run_emr_grid(Scale::Smoke, &mut Journal::in_memory()))
+}
 
 /// Finding #1: not all CXL devices are created equal — CXL shows unstable
 /// and higher tail latency than local/NUMA; CXL-D is the most stable CXL
@@ -77,7 +86,7 @@ fn finding1_duplex_and_noise() {
 /// devices but not on NUMA; interleaving two CXL-D closes the gap.
 #[test]
 fn finding2_workload_slowdowns() {
-    let g = grid::run_emr_grid(Scale::Smoke);
+    let g = emr_grid();
     let under50 = |l: &str| g.slowdown_cdf(l).fraction_at_or_below(50.0);
     assert!(under50("EMR-NUMA") >= under50("EMR-CXL-B"));
     assert!(under50("EMR-CXL-A") >= under50("EMR-CXL-C"));
@@ -91,7 +100,7 @@ fn finding2_workload_slowdowns() {
     assert!(numa_max < 150.0, "NUMA max {numa_max}%");
 
     // Interleaving two CXL-D devices (Figure 8f) cuts the worst case.
-    let f = fig08cd::fig08f(Scale::Smoke);
+    let f = fig08cd::fig08f(Scale::Smoke, &mut Journal::in_memory());
     let worst = |label: &str| {
         f.cdfs
             .iter()
@@ -129,7 +138,7 @@ fn finding2_cxl_plus_numa_anomaly() {
 /// 5pp for ≥85%.
 #[test]
 fn finding3_spa_accuracy() {
-    let g = grid::run_emr_grid(Scale::Smoke);
+    let g = emr_grid();
     for label in ["EMR-NUMA", "EMR-CXL-A", "EMR-CXL-B"] {
         let r = g.fig11(label);
         let (d, b, m) = r.within_pp(5.0);
@@ -144,7 +153,7 @@ fn finding3_spa_accuracy() {
 /// (the paper reports y ≈ x with Pearson 0.99).
 #[test]
 fn finding4_prefetcher_shift() {
-    let g = grid::run_emr_grid(Scale::Smoke);
+    let g = emr_grid();
     let shift = g.fig12a("EMR-CXL-B");
     // Only workloads with real prefetch traffic carry signal.
     let active: Vec<_> = shift

@@ -121,16 +121,19 @@ fn span_nesting_credits_self_and_child_time() {
 
 fn small_population() -> Vec<PairOutcome> {
     let workloads: Vec<_> = registry::all().into_iter().take(3).collect();
-    run_population_par(
-        &Platform::emr2s(),
-        &presets::local_emr(),
-        &presets::cxl_b(),
-        &workloads,
-        &RunOptions {
-            mem_refs: 4_000,
-            ..Default::default()
-        },
-    )
+    let opts = RunOptions {
+        mem_refs: 4_000,
+        ..Default::default()
+    };
+    melody::exec::parallel_map(&workloads, |w| {
+        run_pair(
+            &Platform::emr2s(),
+            &presets::local_emr(),
+            &presets::cxl_b(),
+            w,
+            &opts,
+        )
+    })
 }
 
 #[test]
