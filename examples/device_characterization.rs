@@ -10,13 +10,15 @@ use melody::prelude::*;
 
 fn main() {
     let scale = Scale::Smoke;
+    // Figures 3a and 5 share their read-only sweeps through one journal.
+    let mut journal = Journal::in_memory();
 
     // Table 1: idle latency + peak bandwidth, local and remote.
     let t1 = table1::run(scale);
     println!("{}", t1.render());
 
     // Figure 3a: loaded latency vs bandwidth per device.
-    let f3a = device_curves::fig03a(scale);
+    let f3a = device_curves::fig03a(scale, &mut journal);
     println!("== fig3a: loaded latency at low/medium/saturated load ==");
     for curve in &f3a.curves {
         let first = curve.points.first().expect("points");
@@ -31,7 +33,7 @@ fn main() {
     // Figure 5: peak bandwidth per read/write ratio — full-duplex ASICs
     // peak under mixed traffic, the FPGA and local DDR peak read-only.
     println!("\n== fig5: peak total bandwidth by R:W ratio ==");
-    for panel in device_curves::fig05(scale) {
+    for panel in device_curves::fig05(scale, &mut journal) {
         let peaks: Vec<String> = panel
             .peaks
             .iter()

@@ -20,9 +20,9 @@
 //! text.
 //!
 //! The population figures (fig8a–fig8c, fig8e, fig8f, fig9a, fig9a-full,
-//! fig9b, fig11, fig12, fig14, fig15, predict) resolve their cells
-//! against one in-memory journal, so a cell two figures share simulates
-//! once per run.
+//! fig9b, fig11, fig12, fig14, fig15, predict) resolve their cells, and
+//! fig1, fig3a and fig5 their MLC sweeps, against one in-memory journal,
+//! so a cell or sweep two figures share simulates once per run.
 //!
 //! IDs: table1, fig1, fig3a, fig3b, fig3c, fig4, fig5, fig6, fig7,
 //! fig8a, fig8b, fig8c, fig8d, fig8e, fig8f, fig9a, fig9a-full, fig9b,
@@ -162,7 +162,7 @@ fn main() {
         }
     }
     if want("fig1") {
-        let c = device_curves::fig01(scale);
+        let c = device_curves::fig01(scale, &mut journal);
         if json {
             println!("{}", to_json(&c));
         } else {
@@ -170,7 +170,7 @@ fn main() {
         }
     }
     if want("fig3a") {
-        let c = device_curves::fig03a(scale);
+        let c = device_curves::fig03a(scale, &mut journal);
         if json {
             println!("{}", to_json(&c));
         } else {
@@ -208,7 +208,7 @@ fn main() {
         }
     }
     if want("fig5") {
-        let panels = device_curves::fig05(scale);
+        let panels = device_curves::fig05(scale, &mut journal);
         if json {
             println!("{}", to_json(&panels));
         } else {

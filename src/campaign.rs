@@ -25,9 +25,10 @@
 //! process setting) enters [`CampaignSpec::expand`], so one spec file
 //! names the same cells and cache keys in every process.
 
+use std::collections::HashMap;
 use std::sync::Mutex;
 
-use melody_cpu::{Fidelity, Platform, SamplingParams};
+use melody_cpu::{Fidelity, Platform, RunResult, SamplingParams};
 use melody_mem::faults::REGIMES;
 use melody_mem::{presets, DeviceSpec, FaultConfig, PolicyKind, TieringConfig, TopologySpec};
 use melody_spa::Breakdown;
@@ -39,7 +40,7 @@ use crate::exec::{run_cells, CellError, CellPolicy};
 use crate::experiments::Scale;
 use crate::journal::Journal;
 use crate::report::TableData;
-use crate::runner::{run_pair, PairOutcome, RunOptions};
+use crate::runner::{pair_outcome, run_pair, run_workload, PairOutcome, RunOptions};
 
 /// Version stamp of the campaign's cached result payloads (the
 /// serialized [`PairOutcome`] plus derived row schema). Mixed into every
@@ -514,6 +515,35 @@ impl CampaignCell {
             &self.opts,
         )
     }
+
+    /// True when `other`'s local-DRAM run is this cell's: same platform,
+    /// local spec, workload and run options.
+    fn shares_baseline(&self, other: &CampaignCell) -> bool {
+        self.platform == other.platform
+            && self.local == other.local
+            && self.workload == other.workload
+            && self.opts == other.opts
+    }
+
+    /// Simulates this cell's local-DRAM baseline.
+    fn run_local(&self) -> RunResult {
+        let _span = melody_telemetry::span("run_pair.local");
+        run_workload(&self.platform, &self.local, &self.workload, &self.opts)
+    }
+
+    /// This cell's pair from its `baseline` run, or from one it
+    /// simulates itself when `None`; a target equal to the local spec
+    /// reuses the baseline. Equal to [`run`](Self::run).
+    fn run_from(&self, baseline: Option<RunResult>) -> PairOutcome {
+        let local = baseline.unwrap_or_else(|| self.run_local());
+        let target = if self.target == self.local {
+            local.clone()
+        } else {
+            let _span = melody_telemetry::span("run_pair.target");
+            run_workload(&self.platform, &self.target, &self.workload, &self.opts)
+        };
+        pair_outcome(&self.workload, local, target)
+    }
 }
 
 /// Joins labels with `/`, skipping empty ones (the `static` policy's).
@@ -800,6 +830,9 @@ pub struct Resolved {
     pub stats: CampaignRunStats,
     /// The failed cells, indexed by [`CampaignCell::index`].
     pub errors: Vec<CellError>,
+    /// Distinct local-DRAM runs among the cells left to simulate, each
+    /// simulated once before them.
+    pub baselines: usize,
 }
 
 /// Resolves cells to their outcomes.
@@ -811,6 +844,14 @@ pub struct Resolved {
 /// so warm, cold, resumed and sharded runs serialize byte-identically.
 /// Cells skipped by `policy`'s cancellation token count as `cancelled`,
 /// not failed, so a restart can finish them.
+///
+/// Cells left to simulate that share a local-DRAM run (same platform,
+/// local spec, workload and run options) share one simulation of it:
+/// each distinct baseline runs once on the pool before the cells, which
+/// then simulate only their targets. A baseline is not a cell: it ticks
+/// no progress and is neither retried nor recorded. One that panics,
+/// times out or is skipped by cancellation leaves its cells to simulate
+/// it themselves under `policy`, so they fail as they would alone.
 pub fn resolve(
     cells: &[CampaignCell],
     journal: &mut Journal,
@@ -865,19 +906,60 @@ pub fn resolve(
         }
     }
     stats.simulated = todo.len();
+    let (owners, baseline_of) = group_by_baseline(&todo);
     if melody_telemetry::metrics_on() {
         melody_telemetry::count("campaign.cells", cells.len() as u64);
         melody_telemetry::count("campaign.simulated", todo.len() as u64);
+        melody_telemetry::count("campaign.baselines", owners.len() as u64);
     }
 
-    // Pass 2: simulate the misses, checkpointing each as it completes.
+    // Pass 2: simulate each distinct baseline once, under the cells'
+    // deadline but with one attempt, no progress and no cancellation
+    // count; a raised token skips the rest.
+    let once = CellPolicy {
+        max_attempts: 1,
+        cancel: None,
+        progress: None,
+        ..policy.clone()
+    };
+    let runs = run_cells(
+        &owners,
+        &once,
+        |_, cell| cell.label(),
+        |cell| (!policy.cancelled()).then(|| cell.run_local()),
+    );
+    let mut users = vec![0usize; owners.len()];
+    for &b in &baseline_of {
+        users[b] += 1;
+    }
+    // Each baseline with the number of cells yet to take it: the last
+    // one moves it out, so it is freed as soon as nothing needs it.
+    let baselines: Vec<Mutex<(usize, Option<RunResult>)>> = users
+        .into_iter()
+        .zip(runs)
+        .map(|(n, r)| Mutex::new((n, r.ok().flatten())))
+        .collect();
+    let take = |b: usize| {
+        let mut slot = baselines[b]
+            .lock()
+            .expect("nothing panics while holding a baseline");
+        slot.0 = slot.0.saturating_sub(1);
+        if slot.0 == 0 {
+            slot.1.take()
+        } else {
+            slot.1.clone()
+        }
+    };
+
+    // Pass 3: simulate the cells, checkpointing each as it completes.
+    let todo: Vec<(&CampaignCell, usize)> = todo.into_iter().zip(baseline_of).collect();
     let journal_mx = Mutex::new(journal);
     let results = run_cells(
         &todo,
         policy,
-        |_, cell| cell.label(),
-        |cell| {
-            let o = cell.run();
+        |_, (cell, _)| cell.label(),
+        |&(cell, b)| {
+            let o = cell.run_from(take(b));
             let json = serde_json::to_string(&o).expect("outcome serializes");
             journal_mx
                 .lock()
@@ -899,7 +981,7 @@ pub fn resolve(
         .filter(|(_, s)| s.is_none())
         .map(|(i, _)| i)
         .collect();
-    for ((slot, cell), r) in todo_slots.into_iter().zip(&todo).zip(results) {
+    for ((slot, (cell, _)), r) in todo_slots.into_iter().zip(&todo).zip(results) {
         match r {
             Ok(o) => outcomes[slot] = Some(o),
             Err(e) if e.kind == crate::exec::CellErrorKind::Cancelled => {
@@ -920,7 +1002,35 @@ pub fn resolve(
         outcomes,
         stats,
         errors,
+        baselines: owners.len(),
     }
+}
+
+/// Groups `cells` by their local-DRAM run
+/// ([`CampaignCell::shares_baseline`]): the first cell of each distinct
+/// baseline, in first-use order, and each cell's index into them. Cells
+/// are bucketed by platform and workload name first, so grouping a
+/// paper-scale sweep compares each cell with a few others at most.
+fn group_by_baseline<'a>(cells: &[&'a CampaignCell]) -> (Vec<&'a CampaignCell>, Vec<usize>) {
+    let mut owners: Vec<&CampaignCell> = Vec::new();
+    let mut buckets: HashMap<(&str, &str), Vec<usize>> = HashMap::new();
+    let baseline_of = cells
+        .iter()
+        .map(|&cell| {
+            let bucket = buckets
+                .entry((&cell.platform.name, &cell.workload.name))
+                .or_default();
+            match bucket.iter().find(|&&b| owners[b].shares_baseline(cell)) {
+                Some(&b) => b,
+                None => {
+                    bucket.push(owners.len());
+                    owners.push(cell);
+                    owners.len() - 1
+                }
+            }
+        })
+        .collect();
+    (owners, baseline_of)
 }
 
 #[cfg(test)]

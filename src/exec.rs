@@ -435,7 +435,8 @@ impl CellPolicy {
 /// in item order (byte-identical across worker counts, like
 /// [`parallel_map`]).
 ///
-/// `label` names each cell for error reports.
+/// `label` names each cell for error reports. An empty `items` returns
+/// at once, without starting a worker.
 pub fn run_cells<T, R, F, L>(
     items: &[T],
     policy: &CellPolicy,
@@ -448,7 +449,10 @@ where
     F: Fn(&T) -> R + Sync,
     L: Fn(usize, &T) -> String + Sync,
 {
-    let workers = jobs().min(items.len().max(1));
+    if items.is_empty() {
+        return Vec::new();
+    }
+    let workers = jobs().min(items.len());
     let cursor = AtomicUsize::new(0);
     let (cursor, f, label, policy) = (&cursor, &f, &label, policy);
     std::thread::scope(|scope| {
@@ -723,6 +727,20 @@ mod tests {
                 assert_eq!(*r.as_ref().expect("others succeed"), i * 10);
             }
         }
+    }
+
+    #[test]
+    fn run_cells_over_nothing_returns_nothing() {
+        let progress = Arc::new(crate::progress::Progress::default());
+        let policy = CellPolicy::default().with_progress(progress.clone());
+        let out = run_cells(
+            &[] as &[u32],
+            &policy,
+            |_, _| -> String { unreachable!("no cell to label") },
+            |_| -> u32 { unreachable!("no cell to run") },
+        );
+        assert!(out.is_empty());
+        assert_eq!(progress.done(), 0);
     }
 
     #[test]

@@ -1,11 +1,18 @@
 //! Latency–bandwidth curves: Figure 1 (the sub-µs spectrum), Figure 3a
 //! (loaded latency under read traffic) and Figure 5 (read/write-ratio
 //! sweeps).
+//!
+//! The three figures share sweeps (Figure 3a's six read-only curves are
+//! in Figure 1, and again in Figure 5's `1:0` row), so each resolves its
+//! sweeps against a caller-owned [`Journal`]: figures that share one
+//! simulate each distinct sweep once.
 
 use melody_mem::{presets, DeviceSpec};
 use melody_workloads::mlc::{self, MlcConfig};
 use serde::{Deserialize, Serialize};
 
+use crate::campaign::cell_fingerprint;
+use crate::journal::Journal;
 use crate::report::Series;
 
 use super::Scale;
@@ -36,20 +43,56 @@ impl CurveSet {
     }
 }
 
-fn sweep(spec: &DeviceSpec, read_frac: f64, scale: Scale) -> Series {
+/// The sorted `(bandwidth GB/s, mean latency ns)` points of each
+/// `(device, read fraction)` MLC sweep at `scale`, in order. A sweep
+/// `journal` holds is restored; the rest run on the worker pool and are
+/// recorded in it. Every sweep passes through one JSON round-trip, so a
+/// restored sweep prints as a fresh one does.
+fn sweeps(
+    configs: &[(&DeviceSpec, f64)],
+    scale: Scale,
+    journal: &mut Journal,
+) -> Vec<Vec<(f64, f64)>> {
     let delays = mlc::standard_delays();
-    let pts = mlc::latency_bandwidth_curve(spec, &delays, read_frac, scale.mlc_requests());
-    let mut points: Vec<(f64, f64)> = pts
+    let requests = scale.mlc_requests();
+    let keys: Vec<String> = configs
         .iter()
-        .map(|p| (p.bandwidth_gbps, p.mean_latency_ns()))
+        .map(|(spec, read_frac)| {
+            let config = format!(
+                "{{\"device\":{},\"delays\":{delays:?},\"read_frac\":{read_frac},\"requests\":{requests}}}",
+                spec.canonical_json()
+            );
+            cell_fingerprint("mlc-sweep", &config)
+        })
         .collect();
-    points.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
-    Series::new(spec.name(), points)
+    let todo: Vec<usize> = (0..configs.len())
+        .filter(|&i| journal.get(&keys[i]).is_none())
+        .collect();
+    let fresh = crate::exec::parallel_map(&todo, |&i| {
+        let (spec, read_frac) = configs[i];
+        let pts = mlc::latency_bandwidth_curve(spec, &delays, read_frac, requests);
+        let mut points: Vec<(f64, f64)> = pts
+            .iter()
+            .map(|p| (p.bandwidth_gbps, p.mean_latency_ns()))
+            .collect();
+        points.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
+        points
+    });
+    for (i, points) in todo.into_iter().zip(fresh) {
+        let json = serde_json::to_string(&points).expect("points serialize");
+        journal.record(&keys[i], &json).expect("journal append");
+    }
+    keys.iter()
+        .map(|k| {
+            let json = journal.get(k).expect("every sweep is recorded");
+            serde_json::from_str(json).expect("points round-trip")
+        })
+        .collect()
 }
 
 /// Figure 1: the latency–bandwidth spectrum across local DRAM, NUMA, the
 /// four CXL devices, CXL+NUMA, CXL+Switch, and CXL over multiple hops.
-pub fn fig01(scale: Scale) -> CurveSet {
+pub fn fig01(scale: Scale, journal: &mut Journal) -> CurveSet {
     let mut configs: Vec<(String, DeviceSpec)> = vec![
         ("Socket-local DRAM".into(), presets::local_emr()),
         ("NUMA".into(), presets::numa_emr()),
@@ -63,11 +106,12 @@ pub fn fig01(scale: Scale) -> CurveSet {
         "CXL+multi-hops".into(),
         presets::cxl_d().with_switch_hop().with_switch_hop(),
     ));
-    let curves = crate::exec::parallel_map(&configs, |(name, spec)| {
-        let mut s = sweep(spec, 1.0, scale);
-        s.name = name.clone();
-        s
-    });
+    let read_only: Vec<(&DeviceSpec, f64)> = configs.iter().map(|(_, spec)| (spec, 1.0)).collect();
+    let curves = configs
+        .iter()
+        .zip(sweeps(&read_only, scale, journal))
+        .map(|((name, _), points)| Series::new(name.clone(), points))
+        .collect();
     CurveSet {
         figure: "fig01: CXL latency/bandwidth spectrum".into(),
         curves,
@@ -76,7 +120,7 @@ pub fn fig01(scale: Scale) -> CurveSet {
 
 /// Figure 3a: loaded latency vs bandwidth for local, NUMA and CXL A–D
 /// under 31 read-traffic threads with injected delays of 0–20 K cycles.
-pub fn fig03a(scale: Scale) -> CurveSet {
+pub fn fig03a(scale: Scale, journal: &mut Journal) -> CurveSet {
     let configs = [
         presets::local_emr(),
         presets::numa_emr(),
@@ -85,9 +129,15 @@ pub fn fig03a(scale: Scale) -> CurveSet {
         presets::cxl_c(),
         presets::cxl_d(),
     ];
+    let read_only: Vec<(&DeviceSpec, f64)> = configs.iter().map(|spec| (spec, 1.0)).collect();
+    let curves = configs
+        .iter()
+        .zip(sweeps(&read_only, scale, journal))
+        .map(|(spec, points)| Series::new(spec.name(), points))
+        .collect();
     CurveSet {
         figure: "fig03a: loaded latency vs bandwidth".into(),
-        curves: crate::exec::parallel_map(&configs, |s| sweep(s, 1.0, scale)),
+        curves,
     }
 }
 
@@ -104,7 +154,7 @@ pub struct Fig05Panel {
 
 /// Figure 5: latency–bandwidth curves under read/write ratios
 /// 1:0, 4:1, 3:1, 2:1, 3:2, 1:1, for all six memory configurations.
-pub fn fig05(scale: Scale) -> Vec<Fig05Panel> {
+pub fn fig05(scale: Scale, journal: &mut Journal) -> Vec<Fig05Panel> {
     let ratios: [(&str, f64); 6] = [
         ("1:0", 1.0),
         ("4:1", 0.8),
@@ -123,18 +173,19 @@ pub fn fig05(scale: Scale) -> Vec<Fig05Panel> {
     ];
     // Flatten (config × ratio) into one work list: 36 sweeps saturate
     // the worker pool where 6 per-config tasks would not.
-    let flat: Vec<(&DeviceSpec, (&str, f64))> = configs
+    let flat: Vec<(&DeviceSpec, f64)> = configs
         .iter()
-        .flat_map(|spec| ratios.iter().map(move |&r| (spec, r)))
+        .flat_map(|spec| ratios.iter().map(move |&(_, frac)| (spec, frac)))
         .collect();
-    let sweeps = crate::exec::parallel_map(&flat, |(spec, (label, frac))| {
-        let mut s = sweep(spec, *frac, scale);
-        s.name = label.to_string();
-        s
-    });
+    let curves: Vec<Series> = ratios
+        .iter()
+        .cycle()
+        .zip(sweeps(&flat, scale, journal))
+        .map(|((label, _), points)| Series::new(*label, points))
+        .collect();
     configs
         .iter()
-        .zip(sweeps.chunks_exact(ratios.len()))
+        .zip(curves.chunks_exact(ratios.len()))
         .map(|(spec, chunk)| {
             let peaks = chunk
                 .iter()
@@ -183,7 +234,7 @@ mod tests {
 
     #[test]
     fn fig3a_curves_have_expected_shape() {
-        let cs = fig03a(Scale::Smoke);
+        let cs = fig03a(Scale::Smoke, &mut Journal::in_memory());
         assert_eq!(cs.curves.len(), 6);
         let local = cs.curve("Local").expect("local curve");
         let cxl_c = cs.curve("CXL-C").expect("cxl-c curve");
@@ -202,7 +253,7 @@ mod tests {
 
     #[test]
     fn fig5_duplex_devices_peak_mixed() {
-        let panels = fig05(Scale::Smoke);
+        let panels = fig05(Scale::Smoke, &mut Journal::in_memory());
         let by_name = |n: &str| panels.iter().find(|p| p.device == n).expect("panel");
         // ASIC CXL peaks at a mixed ratio; local DRAM peaks read-only.
         assert_ne!(peak_ratio(by_name("CXL-A")), "1:0");
@@ -213,8 +264,26 @@ mod tests {
     }
 
     #[test]
+    fn figures_sharing_a_journal_simulate_each_sweep_once() {
+        let mut journal = Journal::in_memory();
+        let f3a = fig03a(Scale::Smoke, &mut journal);
+        assert_eq!(journal.len(), 6);
+        // Figure 5's `1:0` row is Figure 3a; only its 30 mixed sweeps run.
+        let f5 = fig05(Scale::Smoke, &mut journal);
+        assert_eq!(journal.len(), 36);
+        for (curve, panel) in f3a.curves.iter().zip(&f5) {
+            assert_eq!(curve.name, panel.device);
+            assert_eq!(curve.points, panel.curves[0].points);
+        }
+        // Figure 1 adds CXL+NUMA, CXL+Switch and CXL+multi-hops.
+        let f1 = fig01(Scale::Smoke, &mut journal);
+        assert_eq!(journal.len(), 39);
+        assert_eq!(f1.curves[0].points, f3a.curves[0].points);
+    }
+
+    #[test]
     fn fig1_spectrum_orders_configs() {
-        let cs = fig01(Scale::Smoke);
+        let cs = fig01(Scale::Smoke, &mut Journal::in_memory());
         let idle = |name: &str| {
             cs.curve(name)
                 .expect("curve")

@@ -232,6 +232,16 @@ pub fn run_pair(
         let _span = melody_telemetry::span("run_pair.target");
         run_workload(platform, target_spec, workload, opts)
     };
+    pair_outcome(workload, local, target)
+}
+
+/// The outcome of a workload's local baseline and target runs: the
+/// slowdown `c_target/c_local − 1` and its Spa breakdown.
+pub(crate) fn pair_outcome(
+    workload: &WorkloadSpec,
+    local: RunResult,
+    target: RunResult,
+) -> PairOutcome {
     let slowdown = target.slowdown_vs(&local);
     let breakdown = breakdown(&local.counters, &target.counters);
     PairOutcome {

@@ -1,13 +1,21 @@
 //! Differential and fuzz tests for the campaign engine and its
 //! content-addressed result cache: warm, cold, resumed and sharded runs
-//! must serialize byte-identically; config changes must re-simulate
-//! exactly the changed cells; corrupted cache entries must degrade to
-//! misses, never panics.
+//! must serialize byte-identically; cells sharing a local-DRAM baseline
+//! must resolve, and fail, as each cell does alone; config changes must
+//! re-simulate exactly the changed cells; corrupted cache entries must
+//! degrade to misses, never panics.
+
+use std::time::Duration;
 
 use melody::cache::{fingerprint, ResultCache};
-use melody::campaign::{run_campaign, CampaignReport, CampaignSpec, Shard};
-use melody::exec::CellPolicy;
+use melody::campaign::{
+    local_for_platform, resolve, run_campaign, CampaignCell, CampaignReport, CampaignSpec, Shard,
+};
+use melody::exec::{run_cells, CellPolicy};
+use melody::experiments::{grid, Scale};
 use melody::journal::Journal;
+use melody::{run_pair, PairOutcome, RunOptions};
+use melody_mem::{presets, DeviceSpec};
 use melody_sim::SimRng;
 
 fn tmp_dir(name: &str) -> std::path::PathBuf {
@@ -632,4 +640,154 @@ fn dataset_cell_fingerprints_are_pinned() {
         }
     }
     assert!(drift.is_empty(), "cells drifted:\n{}", drift.join("\n"));
+}
+
+/// Cells that share local-DRAM runs: two platforms × {`local`, `numa`,
+/// `cxl-b+numa`, `cxl-b` under `lru-hotness`} × three workloads, at each
+/// fidelity tier, indexed in order. The emr2s `local` cells have their
+/// local spec as their target.
+fn shared_baseline_cells() -> Vec<CampaignCell> {
+    let mut cells = Vec::new();
+    for fidelity in ["detailed", "sampled", "fast"] {
+        let plain = CampaignSpec {
+            name: "shared".into(),
+            platforms: vec!["emr2s".into(), "spr2s".into()],
+            devices: vec!["local".into(), "numa".into(), "cxl-b+numa".into()],
+            workloads: vec!["605.mcf".into(), "541.leela".into(), "519.lbm".into()],
+            fidelity: Some(fidelity.into()),
+            ..tiny_spec()
+        };
+        let tiered = CampaignSpec {
+            devices: vec!["cxl-b".into()],
+            policies: vec!["lru-hotness".into()],
+            ..plain.clone()
+        };
+        cells.extend(plain.expand().expect("expand"));
+        cells.extend(tiered.expand().expect("expand"));
+    }
+    for (i, cell) in cells.iter_mut().enumerate() {
+        cell.index = i;
+    }
+    cells
+}
+
+fn outcome_json(o: &PairOutcome) -> String {
+    serde_json::to_string(o).expect("outcome serializes")
+}
+
+/// Resolves `cells` and checks that each outcome serializes exactly as
+/// the cell's own pair run does.
+fn resolve_as_alone(cells: &[CampaignCell]) -> usize {
+    let r = resolve(
+        cells,
+        &mut Journal::in_memory(),
+        None,
+        &CellPolicy::default(),
+    );
+    assert!(r.errors.is_empty(), "{:?}", r.errors);
+    assert_eq!(r.stats.simulated, cells.len());
+    for (cell, o) in cells.iter().zip(&r.outcomes) {
+        let o = o.as_ref().expect("every cell resolves");
+        assert_eq!(
+            outcome_json(o),
+            outcome_json(&cell.run()),
+            "{}",
+            cell.label()
+        );
+    }
+    r.baselines
+}
+
+#[test]
+fn shared_baselines_resolve_as_each_cell_runs_alone() {
+    // One baseline per tier × platform × workload: the tiers' cells
+    // differ only in their run options.
+    let mut cells = shared_baseline_cells();
+    assert_eq!(resolve_as_alone(&cells), 3 * 2 * 3);
+    // One local spec on both platforms is still a baseline per platform.
+    for cell in &mut cells {
+        cell.local = presets::local_emr();
+    }
+    assert_eq!(resolve_as_alone(&cells), 3 * 2 * 3);
+}
+
+#[test]
+fn a_population_resolves_as_its_pairs_run_alone() {
+    let workloads: Vec<_> = ["605.mcf", "519.lbm"]
+        .map(|w| melody_workloads::registry::by_name(w).expect("registered"))
+        .to_vec();
+    let setups = &grid::EMR[..2];
+    let data = grid::population(setups, &workloads, Scale::Smoke, &mut Journal::in_memory());
+    let opts = RunOptions {
+        mem_refs: Scale::Smoke.mem_refs(),
+        ..Default::default()
+    };
+    for ((label, platform, target), (got_label, outcomes)) in setups.iter().zip(&data.cells) {
+        assert_eq!(label, got_label);
+        let platform = platform();
+        let local = local_for_platform(&platform);
+        for (w, o) in workloads.iter().zip(outcomes) {
+            let alone = run_pair(&platform, &local, &target(), w, &opts);
+            assert_eq!(outcome_json(o), outcome_json(&alone), "{label}/{}", w.name);
+        }
+    }
+}
+
+#[test]
+fn a_panicking_baseline_fails_each_cell_as_it_fails_alone() {
+    // emr2s's cells get a local CXL device that fails validation, so its
+    // shared baselines panic in `CxlDevice::new`; spr2s's cells are fine.
+    let DeviceSpec::Cxl(mut broken) = presets::cxl_b() else {
+        panic!("cxl-b is a CXL device");
+    };
+    broken.channels = 0;
+    assert!(broken.validate().is_err());
+    let mut cells = shared_baseline_cells();
+    for cell in cells.iter_mut().filter(|c| c.labels[0] == "emr2s") {
+        cell.local = DeviceSpec::Cxl(broken.clone());
+    }
+    let policy = CellPolicy {
+        backoff: Duration::from_millis(1),
+        ..CellPolicy::default()
+    }
+    .with_attempts(2);
+    let r = resolve(&cells, &mut Journal::in_memory(), None, &policy);
+    let alone = run_cells(&cells, &policy, |_, c| c.label(), |c| c.run());
+    let mut expected = Vec::new();
+    for ((cell, got), want) in cells.iter().zip(&r.outcomes).zip(alone) {
+        match want {
+            Ok(o) => assert_eq!(
+                got.as_ref().map(outcome_json),
+                Some(outcome_json(&o)),
+                "{}",
+                cell.label()
+            ),
+            Err(e) => {
+                assert!(got.is_none(), "{}", cell.label());
+                expected.push(e);
+            }
+        }
+    }
+    // The fast tier builds no device, so only the detailed and sampled
+    // emr2s cells fail.
+    assert_eq!(expected.len(), 2 * 12);
+    assert_eq!(r.errors, expected);
+    assert_eq!(r.stats.failed, expected.len());
+}
+
+#[test]
+fn journaled_cells_simulate_no_baseline() {
+    let cells = shared_baseline_cells();
+    let (emr, spr): (Vec<CampaignCell>, Vec<CampaignCell>) =
+        cells.iter().cloned().partition(|c| c.labels[0] == "emr2s");
+    let mut journal = Journal::in_memory();
+    let first = resolve(&emr, &mut journal, None, &CellPolicy::default());
+    assert_eq!(first.baselines, 3 * 3);
+    let all = resolve(&cells, &mut journal, None, &CellPolicy::default());
+    assert_eq!(all.stats.journal_hits, emr.len());
+    assert_eq!(all.stats.simulated, spr.len());
+    assert_eq!(all.baselines, 3 * 3, "only spr2s's baselines simulate");
+    let again = resolve(&cells, &mut journal, None, &CellPolicy::default());
+    assert_eq!(again.stats.journal_hits, cells.len());
+    assert_eq!(again.baselines, 0);
 }

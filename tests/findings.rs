@@ -57,7 +57,7 @@ fn finding1_cxl_tail_latencies() {
 #[test]
 fn finding1_duplex_and_noise() {
     use melody::experiments::device_curves::{fig05, peak_ratio};
-    let panels = fig05(Scale::Smoke);
+    let panels = fig05(Scale::Smoke, &mut Journal::in_memory());
     let by = |n: &str| panels.iter().find(|p| p.device == n).expect("panel");
     assert_eq!(peak_ratio(by("Local")), "1:0");
     assert_eq!(peak_ratio(by("CXL-C")), "1:0", "FPGA behaves like DDR");
