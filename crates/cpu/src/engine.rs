@@ -1651,6 +1651,95 @@ mod tests {
         assert_eq!(core.t_ps - t_before_ff, expected);
     }
 
+    /// Pins the order in which in-flight prefetches, line-fill-buffer
+    /// entries and store-buffer entries retire: one digest over the
+    /// serialized results of runs whose queues `smp_scaled` makes long.
+    #[test]
+    fn fill_order_is_pinned() {
+        let streams: [fn(u64) -> Slot; 5] = [
+            // Sequential: the prefetchers run far ahead.
+            |i| match i % 4 {
+                3 => Slot::Store { addr: i * 48 },
+                _ => Slot::Load {
+                    addr: i * 64,
+                    dependent: i % 5 == 0,
+                },
+            },
+            // Strided, with compute between references.
+            |i| match i % 3 {
+                0 => Slot::Compute { uops: 6 },
+                1 => Slot::Load {
+                    addr: i * 448 % (1 << 28),
+                    dependent: i % 7 == 1,
+                },
+                _ => Slot::Store {
+                    addr: i * 320 % (1 << 27),
+                },
+            },
+            // Random: misses overlap in the line-fill buffer.
+            |i| {
+                let addr = (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20) % (1 << 30);
+                if i % 4 == 0 {
+                    Slot::Store { addr }
+                } else {
+                    Slot::Load {
+                        addr,
+                        dependent: i % 6 == 1,
+                    }
+                }
+            },
+            // Store bursts to random lines fill the store buffer.
+            |i| {
+                let addr = (i.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 22) % (1 << 30);
+                if i % 512 == 0 {
+                    Slot::Load {
+                        addr,
+                        dependent: true,
+                    }
+                } else {
+                    Slot::Store { addr }
+                }
+            },
+            // Eight sequential streams 1 MiB apart, in lock step, so
+            // several prefetches fall due together; every ninth step
+            // re-reads a line 24 behind its stream.
+            |i| {
+                let (stream, step) = (i % 8, i / 8);
+                let line = if step % 9 == 8 {
+                    step.saturating_sub(24)
+                } else {
+                    step
+                };
+                let addr = (stream << 20) + line * 64;
+                if step % 3 == 2 {
+                    Slot::Store { addr }
+                } else {
+                    Slot::Load {
+                        addr,
+                        dependent: step % 11 == 3,
+                    }
+                }
+            },
+        ];
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for threads in [1, 8, 64] {
+            for spec in [presets::local_emr(), presets::cxl_b()] {
+                for stream in streams {
+                    let cfg = CoreConfig::new(Platform::emr2s().smp_scaled(threads));
+                    let r = Core::new(cfg, spec.build(7)).run((0..12_000).map(stream));
+                    let json = serde_json::to_string(&r).expect("serializes");
+                    h = json
+                        .bytes()
+                        .fold(h, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3));
+                }
+            }
+        }
+        assert_eq!(
+            h, 0x97f4_9a13_2a6f_265e,
+            "in-flight fills retired in a different order"
+        );
+    }
+
     #[test]
     #[should_panic(expected = "invalid SamplingParams")]
     fn run_sampled_rejects_invalid_params() {

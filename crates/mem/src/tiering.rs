@@ -590,6 +590,128 @@ mod tests {
         assert_eq!(dev.counters().migrations, 0, "cold guide blocks migration");
     }
 
+    /// 64-bit FNV-1a over the little-endian bytes of `words`, continuing
+    /// from `h`.
+    fn fnv(h: u64, words: &[u64]) -> u64 {
+        words
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .fold(h, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    /// Pins which pages each policy promotes and which it demotes: one
+    /// digest over every access completion and the final counters,
+    /// page population, residency and device stats of seeded skewed
+    /// streams through fast tiers small enough to force demotion.
+    #[test]
+    fn migration_choices_are_pinned() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut demoted = [0u64; 4];
+        for (pi, policy) in [
+            PolicyKind::LruHotness,
+            PolicyKind::Clock,
+            PolicyKind::BandwidthAware,
+            PolicyKind::SpaGuided,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            for seed in 0..40u64 {
+                let mut rng = SmallRng::seed_from_u64(seed * 4 + pi as u64);
+                let mut cfg = TieringConfig::new(policy);
+                cfg.page_bytes = if rng.gen::<bool>() { 4_096 } else { 8_192 };
+                cfg.fast_bytes = rng.gen_range(4..32u64) * cfg.page_bytes;
+                cfg.epoch_ns = rng.gen_range(5_000..35_000u64);
+                cfg.hot_touches = rng.gen_range(1..4u64);
+                cfg.migrate_budget_gbps = rng.gen_range(2..32u64) as f64;
+                if policy == PolicyKind::SpaGuided {
+                    // Memory-bound and compute-bound windows alternate,
+                    // so some epochs migrate and others hold.
+                    cfg.guide = (0..64u64)
+                        .map(|i| crate::policy::GuideWindow {
+                            start_ps: i * 150_000_000,
+                            mem_score: if i % 3 == 2 { 0.2 } else { 0.9 },
+                        })
+                        .collect();
+                }
+                let slow = presets::cxl_b();
+                let mut dev = TieredDevice::new(
+                    cfg.clone(),
+                    presets::local_emr().build(1),
+                    slow.build(2),
+                    slow.analytic_profile().total_gbps,
+                );
+                let pages = rng.gen_range(8..104u64);
+                let lines = cfg.page_bytes / 64;
+                let mut t = 0u64;
+                for i in 1..=6_000u64 {
+                    let page = if rng.gen_range(0..10u32) < 8 {
+                        rng.gen_range(0..pages / 4 + 1)
+                    } else {
+                        rng.gen_range(0..pages)
+                    };
+                    let addr = page * cfg.page_bytes + rng.gen_range(0..lines) * 64;
+                    let is_store = rng.gen_range(0..10u32) < 3;
+                    dev.observe_slot(addr, is_store, t);
+                    let kind = if is_store {
+                        RequestKind::Rfo
+                    } else {
+                        RequestKind::DemandRead
+                    };
+                    h = fnv(h, &[dev.access(&MemRequest::new(addr, kind, t)).completion]);
+                    t += if rng.gen_range(0..10u32) < 7 {
+                        rng.gen_range(0..2_000u64)
+                    } else {
+                        rng.gen_range(0..120_000u64)
+                    };
+                    if i % 500 == 0 {
+                        t += rng.gen_range(0..200_000_000u64);
+                        dev.fast_forward(t);
+                    }
+                }
+                let c = dev.counters();
+                demoted[pi] += c.demoted;
+                h = fnv(
+                    h,
+                    &[
+                        c.migrations,
+                        c.migrated_bytes,
+                        c.promoted,
+                        c.demoted,
+                        c.stall_ps,
+                        c.max_epoch_bytes,
+                        c.epochs,
+                        dev.known_pages(),
+                        dev.fast_resident_pages(),
+                    ],
+                );
+                let resident: Vec<u64> =
+                    (0..pages).map(|p| dev.is_fast_resident(p) as u64).collect();
+                h = fnv(h, &resident);
+                let s = dev.stats();
+                h = fnv(
+                    h,
+                    &[
+                        s.reads,
+                        s.writes,
+                        s.total_read_latency_ps as u64,
+                        (s.total_read_latency_ps >> 64) as u64,
+                        s.first_issue,
+                        s.last_completion,
+                    ],
+                );
+            }
+        }
+        assert!(
+            demoted.iter().all(|&d| d > 0),
+            "every policy must demote: {demoted:?}"
+        );
+        assert_eq!(h, 0xe018_8289_f231_f8cf, "migration choices moved");
+    }
+
     #[test]
     fn tiered_spec_builds_and_composes() {
         let spec = DeviceSpec::Tiered {
