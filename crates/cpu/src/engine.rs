@@ -142,6 +142,61 @@ struct LfbEntry {
     is_prefetch: bool,
 }
 
+/// Buckets of [`PendingLines`]' line counts. A line's bucket is its low
+/// bits, so a stream's consecutive in-flight lines fill distinct buckets
+/// and the lines just ahead of them find theirs empty.
+const LINE_BUCKETS: usize = 256;
+
+/// Prefetched lines in flight toward one cache level, as
+/// `(line, ready_ps)`, with a count of lines per bucket so that a lookup
+/// of a line not in flight usually skips the scan.
+struct PendingLines {
+    entries: Vec<(u64, u64)>,
+    per_bucket: [u32; LINE_BUCKETS],
+    /// The earliest ready time among `entries` (`u64::MAX` when empty).
+    /// Entries leave only through `Core::settle`, which recomputes it.
+    due_ps: u64,
+}
+
+impl PendingLines {
+    fn new() -> Self {
+        Self {
+            entries: Vec::new(),
+            per_bucket: [0; LINE_BUCKETS],
+            due_ps: u64::MAX,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn push(&mut self, line: u64, ready_ps: u64) {
+        self.per_bucket[line as usize % LINE_BUCKETS] += 1;
+        self.entries.push((line, ready_ps));
+        self.due_ps = self.due_ps.min(ready_ps);
+    }
+
+    /// Removes entry `i`, moving the last entry into its place, and
+    /// returns its line.
+    fn swap_remove(&mut self, i: usize) -> u64 {
+        let (line, _) = self.entries.swap_remove(i);
+        self.per_bucket[line as usize % LINE_BUCKETS] -= 1;
+        line
+    }
+
+    /// The ready time of `line` if it is in flight.
+    fn find(&self, line: u64) -> Option<u64> {
+        if self.per_bucket[line as usize % LINE_BUCKETS] == 0 {
+            return None;
+        }
+        self.entries
+            .iter()
+            .find(|&&(l, _)| l == line)
+            .map(|&(_, r)| r)
+    }
+}
+
 /// Per-sample-window latency/bandwidth point (Figure 7 time series).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LatencyPoint {
@@ -208,14 +263,19 @@ pub struct Core {
     l3: Cache,
     l1pf: StridePrefetcher,
     l2pf: StreamPrefetcher,
-    /// L1-prefetch lines in flight: (line, ready_ps). Occupies LFB slots.
-    pending_l1: Vec<(u64, u64)>,
-    /// L2-prefetch lines in flight: (line, ready_ps).
-    pending_l2: Vec<(u64, u64)>,
+    /// L1-prefetch lines in flight. Occupies LFB slots.
+    pending_l1: PendingLines,
+    /// L2-prefetch lines in flight.
+    pending_l2: PendingLines,
     /// Outstanding independent demand misses.
     lfb: Vec<LfbEntry>,
     /// Store-buffer entries: RFO/commit ready times.
     sb: Vec<u64>,
+    /// The earliest ready time in `lfb` (`u64::MAX` when empty). Entries
+    /// leave only through `settle`, which recomputes it.
+    lfb_due_ps: u64,
+    /// The earliest ready time in `sb`, kept like `lfb_due_ps`.
+    sb_due_ps: u64,
     counters: CounterSet,
     samples: Vec<CounterSample>,
     latency_series: Vec<LatencyPoint>,
@@ -331,10 +391,12 @@ impl Core {
             l1,
             l2,
             l3,
-            pending_l1: Vec::new(),
-            pending_l2: Vec::new(),
+            pending_l1: PendingLines::new(),
+            pending_l2: PendingLines::new(),
             lfb: Vec::new(),
             sb: Vec::new(),
+            lfb_due_ps: u64::MAX,
+            sb_due_ps: u64::MAX,
             counters: CounterSet::default(),
             samples: Vec::new(),
             latency_series: Vec::new(),
@@ -690,37 +752,57 @@ impl Core {
             .unwrap_or(Depth::L1)
     }
 
-    /// Retires everything that has completed by the current time.
+    /// Retires everything that has completed by the current time. A
+    /// queue whose earliest ready time is still ahead is not scanned;
+    /// a scanned one has that time recomputed.
     fn settle(&mut self) {
         let now = self.t_ps;
-        let mut i = 0;
-        while i < self.pending_l1.len() {
-            if self.pending_l1[i].1 <= now {
-                let (line, _) = self.pending_l1.swap_remove(i);
-                self.fill_l1(line, false);
-            } else {
-                i += 1;
+        if now >= self.pending_l1.due_ps {
+            let (mut i, mut due) = (0, u64::MAX);
+            while i < self.pending_l1.len() {
+                let ready = self.pending_l1.entries[i].1;
+                if ready <= now {
+                    let line = self.pending_l1.swap_remove(i);
+                    self.fill_l1(line, false);
+                } else {
+                    due = due.min(ready);
+                    i += 1;
+                }
             }
+            self.pending_l1.due_ps = due;
         }
-        let mut i = 0;
-        while i < self.pending_l2.len() {
-            if self.pending_l2[i].1 <= now {
-                let (line, _) = self.pending_l2.swap_remove(i);
-                self.fill_l2(line, false);
-            } else {
-                i += 1;
+        if now >= self.pending_l2.due_ps {
+            let (mut i, mut due) = (0, u64::MAX);
+            while i < self.pending_l2.len() {
+                let ready = self.pending_l2.entries[i].1;
+                if ready <= now {
+                    let line = self.pending_l2.swap_remove(i);
+                    self.fill_l2(line, false);
+                } else {
+                    due = due.min(ready);
+                    i += 1;
+                }
             }
+            self.pending_l2.due_ps = due;
         }
-        let mut i = 0;
-        while i < self.lfb.len() {
-            if self.lfb[i].ready_ps <= now {
-                let e = self.lfb.swap_remove(i);
-                self.fill_l1(e.line, false);
-            } else {
-                i += 1;
+        if now >= self.lfb_due_ps {
+            let (mut i, mut due) = (0, u64::MAX);
+            while i < self.lfb.len() {
+                let ready = self.lfb[i].ready_ps;
+                if ready <= now {
+                    let e = self.lfb.swap_remove(i);
+                    self.fill_l1(e.line, false);
+                } else {
+                    due = due.min(ready);
+                    i += 1;
+                }
             }
+            self.lfb_due_ps = due;
         }
-        self.sb.retain(|&ready| ready > now);
+        if now >= self.sb_due_ps {
+            self.sb.retain(|&ready| ready > now);
+            self.sb_due_ps = self.sb.iter().copied().min().unwrap_or(u64::MAX);
+        }
     }
 
     /// Fills into L1, cascading evictions down the hierarchy.
@@ -760,21 +842,6 @@ impl Core {
 
     fn l1pf_budget(&self) -> usize {
         self.hot.lfb_entries.max(2)
-    }
-
-    /// Where is `line`, as of now, without side effects on pendings.
-    fn find_pending_l1(&self, line: u64) -> Option<u64> {
-        self.pending_l1
-            .iter()
-            .find(|&&(l, _)| l == line)
-            .map(|&(_, r)| r)
-    }
-
-    fn find_pending_l2(&self, line: u64) -> Option<u64> {
-        self.pending_l2
-            .iter()
-            .find(|&&(l, _)| l == line)
-            .map(|&(_, r)| r)
     }
 
     fn step(&mut self, slot: Slot) {
@@ -860,7 +927,7 @@ impl Core {
         // flight. The wait counts as bound-on-loads but NOT as an L1-miss
         // stall (the line is allocated, data is late) — this is the sL1
         // "delayed L1 hits" component of the paper's Finding #4.
-        if let Some(ready) = self.find_pending_l1(line) {
+        if let Some(ready) = self.pending_l1.find(line) {
             if dependent {
                 let d = ready.saturating_sub(self.t_ps) + self.hot.l1_lat_ps;
                 self.record_dep_latency(d);
@@ -884,7 +951,7 @@ impl Core {
         }
 
         // Delayed L2 hit on a pending L2 prefetch: stalls at the L2 level.
-        if let Some(ready) = self.find_pending_l2(line) {
+        if let Some(ready) = self.pending_l2.find(line) {
             let wait = ready.saturating_sub(self.t_ps) + self.hot.l2_lat_ps;
             if dependent {
                 self.record_dep_latency(wait);
@@ -982,13 +1049,7 @@ impl Core {
         }
         while self.lfb_used() >= self.hot.lfb_entries {
             // Stall until the earliest in-flight entry completes.
-            let earliest = self
-                .lfb
-                .iter()
-                .map(|e| e.ready_ps)
-                .min()
-                .expect("lfb full implies entries");
-            let wait = earliest.saturating_sub(self.t_ps);
+            let wait = self.lfb_due_ps.saturating_sub(self.t_ps);
             let depth_out = self.deepest_outstanding();
             self.outstanding_stall(wait.max(1), depth_out);
             self.settle();
@@ -999,6 +1060,7 @@ impl Core {
             depth,
             is_prefetch,
         });
+        self.lfb_due_ps = self.lfb_due_ps.min(ready_ps);
     }
 
     fn do_store(&mut self, addr: u64) {
@@ -1021,8 +1083,7 @@ impl Core {
         // exclusive partition of Figure 10 holds because P1 and P2 never
         // double-count the same cycle here.
         while self.sb.len() >= self.hot.store_buffer_entries {
-            let earliest = *self.sb.iter().min().expect("non-empty");
-            let wait = earliest.saturating_sub(self.t_ps).max(1);
+            let wait = self.sb_due_ps.saturating_sub(self.t_ps).max(1);
             let dc = self.stall_cycles(wait);
             self.counters.bound_on_stores += dc;
             self.settle();
@@ -1031,6 +1092,7 @@ impl Core {
             .device
             .access(&MemRequest::new(addr, RequestKind::Rfo, self.t_ps));
         self.sb.push(a.completion);
+        self.sb_due_ps = self.sb_due_ps.min(a.completion);
         // The RFO'd line lands dirty in L1 when it returns; model the fill
         // immediately (the timing effect is carried by the SB entry).
         self.fill_l1(line, true);
@@ -1040,7 +1102,7 @@ impl Core {
         let reqs = self.l1pf.observe(line);
         for r in reqs {
             if self.l1.contains(r.line)
-                || self.find_pending_l1(r.line).is_some()
+                || self.pending_l1.find(r.line).is_some()
                 || self.pending_l1.len() >= self.l1pf_budget()
             {
                 continue;
@@ -1052,7 +1114,7 @@ impl Core {
             // Resolve the prefetch source.
             let ready = if self.l2.contains(r.line) {
                 self.t_ps + self.hot.l2_lat_ps
-            } else if let Some(r2) = self.find_pending_l2(r.line) {
+            } else if let Some(r2) = self.pending_l2.find(r.line) {
                 r2.max(self.t_ps) + self.hot.l2_lat_ps
             } else if self.l3.contains(r.line) {
                 self.t_ps + self.hot.l3_lat_ps
@@ -1068,7 +1130,7 @@ impl Core {
                 self.win_read_bytes += 64;
                 a.completion
             };
-            self.pending_l1.push((r.line, ready));
+            self.pending_l1.push(r.line, ready);
         }
     }
 
@@ -1076,7 +1138,7 @@ impl Core {
         self.tick += 1;
         let reqs = self.l2pf.observe(line, self.tick);
         for r in reqs {
-            if self.l2.contains(r.line) || self.find_pending_l2(r.line).is_some() {
+            if self.l2.contains(r.line) || self.pending_l2.find(r.line).is_some() {
                 continue;
             }
             if self.pending_l2.len() >= self.hot.l2pf_slots {
@@ -1100,7 +1162,7 @@ impl Core {
                 self.win_read_bytes += 64;
                 a.completion
             };
-            self.pending_l2.push((r.line, ready));
+            self.pending_l2.push(r.line, ready);
         }
     }
 
@@ -1624,8 +1686,8 @@ mod tests {
             core.sb.is_empty(),
             "store buffer leaked across fast-forward"
         );
-        assert!(core.pending_l1.is_empty(), "pending L1 prefetches leaked");
-        assert!(core.pending_l2.is_empty(), "pending L2 prefetches leaked");
+        assert_eq!(core.pending_l1.len(), 0, "pending L1 prefetches leaked");
+        assert_eq!(core.pending_l2.len(), 0, "pending L2 prefetches leaked");
         assert!(!core.capturing, "capture flag stuck after window close");
     }
 

@@ -21,7 +21,8 @@
 //! stall demand traffic behind them, which is exactly the behaviour the
 //! budget exists to prevent.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use melody_telemetry as tel;
 
@@ -60,6 +61,17 @@ struct FastMeta {
     referenced: bool,
 }
 
+/// One page's touches in the open epoch. Residency changes only at epoch
+/// boundaries, and every touch of a fast page within one epoch writes
+/// the same LRU epoch and CLOCK bit, so the epoch's first touch of a
+/// page does all its page-table work and `fast` stays true to the end
+/// of the epoch.
+#[derive(Debug, Clone, Copy)]
+struct EpochTouch {
+    touches: u64,
+    fast: bool,
+}
+
 /// A page copy decided at an epoch boundary whose traffic has not been
 /// issued yet. Residency flips at decision time; the copy itself is
 /// paced onto the link at its scheduled time (see module docs).
@@ -87,10 +99,10 @@ pub struct TieredDevice {
     /// CLOCK ring over fast pages, in promotion order, plus the hand.
     clock_ring: Vec<u64>,
     clock_hand: usize,
-    /// Touch counts accumulated in the open epoch (both tiers).
-    epoch_touches: BTreeMap<u64, u64>,
+    /// Pages touched in the open epoch (both tiers).
+    epoch_touches: HashMap<u64, EpochTouch>,
     /// Pages touched in the previous epoch (CLOCK promotion filter).
-    prev_touched: BTreeSet<u64>,
+    prev_touched: HashMap<u64, EpochTouch>,
     /// Every page ever observed (residency conservation oracle).
     known_pages: BTreeSet<u64>,
     /// Slow-tier request count at the last epoch boundary, for the
@@ -141,8 +153,8 @@ impl TieredDevice {
             fast_pages: BTreeMap::new(),
             clock_ring: Vec::new(),
             clock_hand: 0,
-            epoch_touches: BTreeMap::new(),
-            prev_touched: BTreeSet::new(),
+            epoch_touches: HashMap::new(),
+            prev_touched: HashMap::new(),
             known_pages: BTreeSet::new(),
             slow_reqs_at_epoch: 0,
             slow_gbps: slow_gbps.max(1e-9),
@@ -184,12 +196,27 @@ impl TieredDevice {
         addr >> self.page_shift
     }
 
-    fn touch(&mut self, page: u64) {
-        self.known_pages.insert(page);
-        *self.epoch_touches.entry(page).or_insert(0) += 1;
-        if let Some(meta) = self.fast_pages.get_mut(&page) {
-            meta.last_touch_epoch = self.epoch;
-            meta.referenced = true;
+    /// Counts one touch of `page` and returns whether it is fast-resident.
+    /// Only the epoch's first touch of a page looks up the page tables.
+    fn touch(&mut self, page: u64) -> bool {
+        match self.epoch_touches.entry(page) {
+            Entry::Occupied(e) => {
+                let t = e.into_mut();
+                t.touches += 1;
+                t.fast
+            }
+            Entry::Vacant(e) => {
+                self.known_pages.insert(page);
+                let fast = match self.fast_pages.get_mut(&page) {
+                    Some(meta) => {
+                        meta.last_touch_epoch = self.epoch;
+                        meta.referenced = true;
+                        true
+                    }
+                    None => false,
+                };
+                e.insert(EpochTouch { touches: 1, fast }).fast
+            }
         }
     }
 
@@ -199,14 +226,19 @@ impl TieredDevice {
     /// detected in order.
     fn maybe_epoch(&mut self, now: u64) {
         while now >= self.next_epoch_ps {
-            let boundary = self.next_epoch_ps;
-            self.run_epoch(boundary);
-            self.next_epoch_ps += self.epoch_ps;
-            self.epoch += 1;
-            self.counters.epochs += 1;
-            self.prev_touched = self.epoch_touches.keys().copied().collect();
-            self.epoch_touches.clear();
+            self.run_epoch(self.next_epoch_ps);
+            self.close_epoch();
         }
+    }
+
+    /// Opens the next epoch: the open epoch's touches become the
+    /// previous epoch's.
+    fn close_epoch(&mut self) {
+        self.next_epoch_ps += self.epoch_ps;
+        self.epoch += 1;
+        self.counters.epochs += 1;
+        std::mem::swap(&mut self.prev_touched, &mut self.epoch_touches);
+        self.epoch_touches.clear();
     }
 
     /// The slow link's utilization over the epoch ending at `now`:
@@ -255,33 +287,25 @@ impl TieredDevice {
             }
         }
 
-        // Promotion candidates: slow pages hot enough this epoch.
-        let mut hot: Vec<(u64, u64)> = self
+        // Promotion candidates: slow pages hot enough this epoch, as
+        // (sustained, touches, page). CLOCK favours sustained reuse:
+        // pages touched in this epoch *and* the previous one get first
+        // claim on the budget; single-epoch pages fill whatever remains.
+        let clock = self.cfg.policy == PolicyKind::Clock;
+        let mut hot: Vec<(bool, u64, u64)> = self
             .epoch_touches
             .iter()
-            .filter(|(p, t)| **t >= self.cfg.hot_touches && !self.fast_pages.contains_key(*p))
-            .map(|(p, t)| (*p, *t))
+            .filter(|(_, t)| t.touches >= self.cfg.hot_touches && !t.fast)
+            .map(|(&p, t)| (clock && self.prev_touched.contains_key(&p), t.touches, p))
             .collect();
-        if self.cfg.policy == PolicyKind::Clock {
-            // CLOCK favours sustained reuse: pages touched in this epoch
-            // *and* the previous one get first claim on the budget;
-            // single-epoch pages fill whatever remains.
-            hot.sort_by(|a, b| {
-                let (sa, sb) = (
-                    self.prev_touched.contains(&a.0),
-                    self.prev_touched.contains(&b.0),
-                );
-                sb.cmp(&sa).then(b.1.cmp(&a.1)).then(a.0.cmp(&b.0))
-            });
-        } else {
-            // Hottest first; page index breaks ties deterministically.
-            hot.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        }
+        // Sustained first, then hottest; the page index breaks ties, so
+        // the order is total and the map's iteration order cannot leak.
+        hot.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(b.1.cmp(&a.1)).then(a.2.cmp(&b.2)));
 
         let fast_capacity_pages = self.cfg.fast_bytes >> self.page_shift;
         let mut moved_bytes = 0u64;
         let mut at = self.pending_tail_ps.max(now);
-        for (page, _) in hot {
+        for (_, _, page) in hot {
             // A promotion may force a demotion; both count against the
             // budget, so stop while the worst case still fits.
             let worst = if self.fast_pages.len() as u64 >= fast_capacity_pages {
@@ -422,10 +446,9 @@ impl MemoryDevice for TieredDevice {
     fn access(&mut self, req: &MemRequest) -> AccessBreakdown {
         self.maybe_epoch(req.issue);
         self.drain(req.issue);
-        let page = self.page_of(req.addr);
-        self.touch(page);
+        let fast = self.touch(self.page_of(req.addr));
         self.last_issue_ps = self.last_issue_ps.max(req.issue);
-        if self.fast_pages.contains_key(&page) {
+        if fast {
             self.fast.access(req)
         } else {
             self.slow.access(req)
@@ -462,11 +485,7 @@ impl MemoryDevice for TieredDevice {
         // elapse without migration decisions, keeping the boundary
         // schedule monotone.
         while now >= self.next_epoch_ps {
-            self.next_epoch_ps += self.epoch_ps;
-            self.epoch += 1;
-            self.counters.epochs += 1;
-            self.prev_touched = self.epoch_touches.keys().copied().collect();
-            self.epoch_touches.clear();
+            self.close_epoch();
         }
     }
 
@@ -477,8 +496,7 @@ impl MemoryDevice for TieredDevice {
     fn observe_slot(&mut self, addr: u64, _is_store: bool, now: melody_sim::SimTime) {
         self.maybe_epoch(now);
         self.drain(now);
-        let page = self.page_of(addr);
-        self.touch(page);
+        self.touch(self.page_of(addr));
     }
 }
 
