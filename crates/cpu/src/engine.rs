@@ -360,18 +360,11 @@ fn replay_hist(hist: &mut LatencyHistogram, lats_ns: &[u64], k: u64, n: u64) -> 
 }
 
 impl Core {
-    /// Creates a core on `device`.
-    ///
-    /// When telemetry metrics are enabled and no explicit
-    /// `sample_interval_ns` is set, periodic counter snapshots are taken
-    /// on the telemetry cadence (`melody_telemetry::cadence_ns`) so the
-    /// insight layer gets a windowed counter timeline from every
-    /// instrumented run. Sampling only records state — it never perturbs
-    /// simulated timing — so results stay identical to an unsampled run.
-    pub fn new(mut cfg: CoreConfig, device: Box<dyn MemoryDevice>) -> Self {
-        if cfg.sample_interval_ns.is_none() && melody_telemetry::metrics_on() {
-            cfg.sample_interval_ns = Some(melody_telemetry::cadence_ns());
-        }
+    /// Creates a core on `device`. Counter samples are taken every
+    /// `cfg.sample_interval_ns`, whatever the telemetry mode. Sampling
+    /// only records state — it never perturbs simulated timing — so
+    /// results stay identical to an unsampled run.
+    pub fn new(cfg: CoreConfig, device: Box<dyn MemoryDevice>) -> Self {
         let p = &cfg.platform;
         let cycle_ps = p.cycle_ps();
         let hot = HotParams::new(p, cycle_ps);

@@ -766,11 +766,20 @@ fn run_json(cli: &Cli, cell: &CampaignCell) {
         windows: cli.int("--windows").unwrap_or(24),
         ..Default::default()
     };
-    let (platform, w, opts) = (&cell.platform, &cell.workload, &cell.opts);
+    let (platform, w) = (&cell.platform, &cell.workload);
+    // The insight timeline is built from counter samples: take them on
+    // the telemetry cadence unless the cell sets its own interval.
+    let opts = melody::RunOptions {
+        sample_interval_ns: cell
+            .opts
+            .sample_interval_ns
+            .or_else(|| Some(melody_telemetry::cadence_ns())),
+        ..cell.opts.clone()
+    };
     let (local_run, _l_events, l_dropped, l_metrics) =
-        melody::exec::traced(|| melody::run_workload(platform, &cell.local, w, opts));
+        melody::exec::traced(|| melody::run_workload(platform, &cell.local, w, &opts));
     let (target_run, t_events, t_dropped, t_metrics) =
-        melody::exec::traced(|| melody::run_workload(platform, &cell.target, w, opts));
+        melody::exec::traced(|| melody::run_workload(platform, &cell.target, w, &opts));
     let mut metrics = l_metrics;
     metrics.merge(&t_metrics);
     let meta = melody_insight::RunMeta {

@@ -170,3 +170,40 @@ fn telemetry_does_not_perturb_simulation() {
         assert_eq!(a.target.counters, b.target.counters);
     }
 }
+
+#[test]
+fn metrics_mode_journals_the_same_outcomes() {
+    use melody::campaign::{resolve, CampaignSpec};
+    use melody::exec::CellPolicy;
+    use melody::journal::Journal;
+
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let cells = CampaignSpec {
+        name: "metrics".into(),
+        platforms: vec!["emr2s".into()],
+        devices: vec!["cxl-b".into()],
+        workloads: vec!["605.mcf".into()],
+        mem_refs: Some(4_000),
+        ..Default::default()
+    }
+    .expand()
+    .expect("spec expands");
+    let journaled = |mode| {
+        set_mode(mode);
+        let mut journal = Journal::in_memory();
+        let r = resolve(&cells, &mut journal, None, &CellPolicy::default());
+        set_mode(Mode::Off);
+        assert!(r.errors.is_empty(), "{:?}", r.errors);
+        journal
+            .entries()
+            .map(|(key, json)| format!("{key} {json}"))
+            .collect::<Vec<_>>()
+    };
+    let off = journaled(Mode::Off);
+    let metrics = journaled(Mode::Metrics);
+    reset();
+    assert_eq!(off.len(), 1);
+    // The result cache stores these bytes under a key that does not
+    // name the telemetry mode.
+    assert_eq!(metrics, off, "metrics mode changed the journaled outcome");
+}
