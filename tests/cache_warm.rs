@@ -137,75 +137,159 @@ fn geometry(rng: &mut SimRng) -> (usize, usize) {
     (lines * 64 + rng.below(64) as usize, ways)
 }
 
+/// The lines of one [`differential`] case of `cap_lines` capacity,
+/// relative to its base, are all below this.
+fn reach(cap_lines: u64) -> u64 {
+    9 * cap_lines + 64
+}
+
+/// One random differential case: 1-3 warm ranges, 400 mixed accesses,
+/// then the stats and the final contents of every line the case can
+/// reach, on a new `Cache` and a new `EagerCache` of the same geometry.
+/// Every line is `base` plus an offset below [`reach`].
+fn differential(ctx: &str, rng: &mut SimRng, capacity: usize, ways: usize, base: u64) {
+    let mut lazy = Cache::new(capacity, ways);
+    let mut eager = EagerCache::new(capacity, ways);
+    assert_eq!(lazy.sets(), eager.sets, "{ctx}: set rounding");
+    let cap_lines = (lazy.sets() * ways) as u64;
+    let universe = 4 * cap_lines + 64;
+    let reach = reach(cap_lines);
+    let at = |line: u64| {
+        assert!(line < reach, "{ctx}: line {line} beyond the case's reach");
+        base + line
+    };
+
+    // 1-3 warm ranges: random starts (mid-set), overlapping the
+    // previous range half the time, up to twice the capacity long.
+    let mut start = rng.below(universe);
+    for _ in 0..1 + rng.below(3) {
+        if rng.chance(0.5) {
+            start = rng.below(universe);
+        } else {
+            start += rng.below(cap_lines + 1);
+        }
+        let count = match rng.below(4) {
+            0 => rng.below(2 * cap_lines + 1),
+            1 => cap_lines,
+            _ => rng.below(cap_lines + 1),
+        };
+        if count > 0 {
+            at(start + count - 1);
+        }
+        lazy.warm(at(start), count);
+        eager.warm(at(start), count);
+    }
+
+    for step in 0..400 {
+        // Mostly near the warmed region, so hits and evictions of
+        // warmed lines both happen.
+        let line = at(if rng.chance(0.7) {
+            start.saturating_sub(cap_lines) + rng.below(3 * cap_lines + 1)
+        } else {
+            rng.below(universe)
+        });
+        let ctx = format!("{ctx} step {step} line {line}");
+        match rng.below(4) {
+            0 => assert_eq!(lazy.probe(line), eager.probe(line), "probe, {ctx}"),
+            1 => {
+                let dirty = rng.chance(0.3);
+                assert_eq!(
+                    lazy.fill(line, dirty),
+                    eager.fill(line, dirty),
+                    "fill, {ctx}"
+                );
+            }
+            2 => assert_eq!(
+                lazy.mark_dirty(line),
+                eager.mark_dirty(line),
+                "mark_dirty, {ctx}"
+            ),
+            _ => assert_eq!(lazy.contains(line), eager.contains(line), "contains, {ctx}"),
+        }
+    }
+    assert_eq!(lazy.stats(), (eager.hits, eager.misses), "{ctx}: stats");
+    // Final contents, including sets the sequence never reached.
+    for line in (0..universe).map(at) {
+        assert_eq!(
+            lazy.contains(line),
+            eager.contains(line),
+            "{ctx}: final line {line}"
+        );
+    }
+}
+
 #[test]
 fn lazy_warming_matches_eager_fill() {
     for case in 0..iters(300) {
         let mut rng = SimRng::seed_from(0xCAC4E ^ case);
         let (capacity, ways) = geometry(&mut rng);
-        let mut lazy = Cache::new(capacity, ways);
-        let mut eager = EagerCache::new(capacity, ways);
-        assert_eq!(lazy.sets(), eager.sets, "case {case}: set rounding");
-        let cap_lines = (lazy.sets() * ways) as u64;
-        let universe = 4 * cap_lines + 64;
+        differential(&format!("case {case}"), &mut rng, capacity, ways, 0);
+    }
+}
 
-        // 1-3 warm ranges: random starts (mid-set), overlapping the
-        // previous range half the time, up to twice the capacity long.
-        let mut start = rng.below(universe);
-        for _ in 0..1 + rng.below(3) {
-            if rng.chance(0.5) {
-                start = rng.below(universe);
-            } else {
-                start += rng.below(cap_lines + 1);
-            }
-            let count = match rng.below(4) {
-                0 => rng.below(2 * cap_lines + 1),
-                1 => cap_lines,
-                _ => rng.below(cap_lines + 1),
-            };
-            lazy.warm(start, count);
-            eager.warm(start, count);
-        }
+/// Fixed (sets, ways) geometries: one set of every associativity from 1
+/// to 16, a 48 KiB L1d, a 2 MiB L2 and an 8 MiB LLC-like cache.
+const GEOMETRIES: [(usize, usize); 19] = [
+    (1, 1),
+    (1, 2),
+    (1, 3),
+    (1, 4),
+    (1, 5),
+    (1, 6),
+    (1, 7),
+    (1, 8),
+    (1, 9),
+    (1, 10),
+    (1, 11),
+    (1, 12),
+    (1, 13),
+    (1, 14),
+    (1, 15),
+    (1, 16),
+    (64, 12),
+    (2048, 16),
+    (8192, 16),
+];
 
-        for step in 0..400 {
-            // Mostly near the warmed region, so hits and evictions of
-            // warmed lines both happen.
-            let line = if rng.chance(0.7) {
-                start.saturating_sub(cap_lines) + rng.below(3 * cap_lines + 1)
-            } else {
-                rng.below(universe)
-            };
-            let ctx = format!("case {case} step {step} line {line}");
-            match rng.below(4) {
-                0 => assert_eq!(lazy.probe(line), eager.probe(line), "probe, {ctx}"),
-                1 => {
-                    let dirty = rng.chance(0.3);
-                    assert_eq!(
-                        lazy.fill(line, dirty),
-                        eager.fill(line, dirty),
-                        "fill, {ctx}"
-                    );
-                }
-                2 => assert_eq!(
-                    lazy.mark_dirty(line),
-                    eager.mark_dirty(line),
-                    "mark_dirty, {ctx}"
-                ),
-                _ => assert_eq!(lazy.contains(line), eager.contains(line), "contains, {ctx}"),
-            }
+/// The first line whose tag does not fit a cache of `sets` sets: a slot
+/// keeps the tag `(line >> log2 sets) + 1` in 31 bits.
+fn line_limit(sets: usize) -> u64 {
+    ((1 << 31) - 1) << sets.trailing_zeros()
+}
+
+#[test]
+fn reused_storage_matches_a_fresh_cache() {
+    // Each case first leaves a used cache of its geometry behind on this
+    // thread: warmed, every slot of every set then refilled with a dirty
+    // line of the highest tags, and dropped. A new cache of the same
+    // geometry must still match a new eager one, whatever storage it
+    // gets: no stale tag or dirty bit may show through.
+    for case in 0..iters(38) {
+        let (sets, ways) = GEOMETRIES[case as usize % GEOMETRIES.len()];
+        let capacity = sets * ways * 64;
+        let lines = (sets * ways) as u64;
+        let mut rng = SimRng::seed_from(0x5EC ^ case);
+        let mut used = Cache::new(capacity, ways);
+        used.warm(rng.below(4 * lines), lines);
+        for line in line_limit(sets) - lines..line_limit(sets) {
+            used.fill(line, true);
         }
-        assert_eq!(
-            lazy.stats(),
-            (eager.hits, eager.misses),
-            "case {case}: stats"
-        );
-        // Final contents, including sets the sequence never reached.
-        for line in 0..universe {
-            assert_eq!(
-                lazy.contains(line),
-                eager.contains(line),
-                "case {case}: final line {line}"
-            );
-        }
+        drop(used);
+        let ctx = format!("case {case} ({sets}x{ways})");
+        differential(&ctx, &mut rng, capacity, ways, 0);
+    }
+}
+
+#[test]
+fn high_tags_match_eager_fill() {
+    // The same sequences with every line just below the tag limit.
+    for case in 0..iters(38) {
+        let (sets, ways) = GEOMETRIES[case as usize % GEOMETRIES.len()];
+        let capacity = sets * ways * 64;
+        let base = line_limit(sets) - reach((sets * ways) as u64);
+        let mut rng = SimRng::seed_from(0x7A6 ^ case);
+        let ctx = format!("case {case} ({sets}x{ways}) from line {base}");
+        differential(&ctx, &mut rng, capacity, ways, base);
     }
 }
 
