@@ -1,11 +1,26 @@
 //! Set-associative LRU cache model with lazy functional warming.
 
+use std::cell::RefCell;
+
 /// log2 of the rows per storage chunk (capped at the set count).
 const CHUNK_SHIFT: u32 = 8;
 
-/// Dirty flag of a row slot. Tags of lines of 64-bit byte addresses stay
-/// below 2^58, so the bit is free.
-const DIRTY: u64 = 1 << 63;
+/// Dirty flag of a row slot; the tag takes the 31 bits below it.
+const DIRTY: u32 = 1 << 31;
+
+/// Tags are `(line >> shift) + 1`, so `line >> shift` must stay below
+/// this for the tag to fit below [`DIRTY`].
+const TAG_LIMIT: u64 = DIRTY as u64 - 1;
+
+/// Most slots the spare chunks of one thread hold (16 MiB).
+const SPARE_SLOTS: usize = 4 << 20;
+
+thread_local! {
+    /// Row chunks of caches dropped on this thread, emptied with their
+    /// capacity kept, and the slots those capacities sum to. A new cache
+    /// takes chunks from here before it allocates.
+    static SPARE: RefCell<(Vec<Vec<u32>>, usize)> = const { RefCell::new((Vec::new(), 0)) };
+}
 
 /// A set-associative cache over 64 B lines with true-LRU replacement.
 ///
@@ -19,6 +34,16 @@ const DIRTY: u64 = 1 << 63;
 /// set only ever holds its own lines, so the replay leaves exactly the
 /// tags, LRU order and dirty bits of an eager per-line fill, while a run
 /// pays only for the sets it touches rather than for the whole capacity.
+///
+/// A slot keeps a line's tag in 31 bits, so lines must stay below
+/// `(2^31 - 1) << log2(sets)`: byte addresses below 2^42 for a 32-set
+/// cache, and more for larger ones. Storage is reused: a dropped cache
+/// leaves its row chunks to the next cache built on the same thread.
+///
+/// # Panics
+///
+/// Every method that takes a line, and [`Cache::warm`] for the last line
+/// of its range, panics if that line's tag does not fit.
 ///
 /// # Example
 ///
@@ -40,12 +65,13 @@ pub struct Cache {
     shift: u32,
     // Per set: 1 + its row, 0 = not yet materialized.
     rows: Vec<u32>,
-    // Rows in materialization order, `1 << chunk_shift` per chunk. Chunks
-    // never move, so growth copies nothing, and there are at most `sets`
-    // rows. A row is `ways` slots, most recently used first; a slot is a
-    // tag ((line >> shift) + 1, 0 = free) with the `DIRTY` bit. Nothing
-    // invalidates, so a row's free slots are always a suffix.
-    chunks: Vec<Box<[u64]>>,
+    // Rows in materialization order, `1 << chunk_shift` per chunk, each
+    // appended in full. Chunks never move, so growth copies nothing, and
+    // there are at most `sets` rows. A row is `ways` slots, most recently
+    // used first; a slot is a tag ((line >> shift) + 1, 0 = free) with
+    // the `DIRTY` bit. Nothing invalidates, so a row's free slots are
+    // always a suffix.
+    chunks: Vec<Vec<u32>>,
     chunk_shift: u32,
     used_rows: usize,
     // Warmed runs of lines: (first line, line count).
@@ -107,48 +133,74 @@ impl Cache {
     /// # Panics
     ///
     /// Panics if the cache has already been accessed; warming comes
-    /// before the first `probe`, `fill`, `contains` or `mark_dirty`.
+    /// before the first `probe`, `fill`, `contains` or `mark_dirty`. Also
+    /// panics if the range's last line has no tag (see [`Cache`]).
     pub fn warm(&mut self, first_line: u64, count: u64) {
         // Every access materializes a row, so no rows means no accesses.
         assert!(self.used_rows == 0, "cache warmed after its first access");
         if count > 0 {
+            // The last line has the range's largest tag.
+            self.tag(first_line.saturating_add(count - 1));
             self.warmed.push((first_line, count));
         }
+    }
+
+    /// `line`'s tag, `(line >> shift) + 1`.
+    #[inline]
+    fn tag(&self, line: u64) -> u32 {
+        let base = line >> self.shift;
+        if base >= TAG_LIMIT {
+            self.past_tag_range(line);
+        }
+        base as u32 + 1
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn past_tag_range(&self, line: u64) -> ! {
+        panic!(
+            "line {line} has no tag in this cache: its lines must stay below {}",
+            u128::from(TAG_LIMIT) << self.shift
+        );
     }
 
     /// `line`'s set and tag, and that set's row, materialized on first
     /// touch.
     #[inline]
-    fn locate(&mut self, line: u64) -> (usize, u64, &mut [u64]) {
+    fn locate(&mut self, line: u64) -> (usize, u32, &mut [u32]) {
+        let tag = self.tag(line);
         let set = line as usize & (self.sets - 1);
         let row = match self.rows[set] {
             0 => self.materialize(set),
             r => r as usize - 1,
         };
-        let tag = (line >> self.shift) + 1;
-        debug_assert!(tag & DIRTY == 0, "line {line} collides with the dirty bit");
         (set, tag, self.row_mut(row))
     }
 
     #[inline]
-    fn row_mut(&mut self, row: usize) -> &mut [u64] {
+    fn row_mut(&mut self, row: usize) -> &mut [u32] {
         let ways = self.ways;
         let base = (row & ((1 << self.chunk_shift) - 1)) * ways;
         &mut self.chunks[row >> self.chunk_shift][base..base + ways]
     }
 
-    /// Allocates `set`'s row and replays, in order, the warmed lines that
-    /// map to it.
+    /// Appends `set`'s row, all slots free, and replays into it, in order,
+    /// the warmed lines that map to it.
     #[cold]
     fn materialize(&mut self, set: usize) -> usize {
         let row = self.used_rows;
         self.used_rows += 1;
         self.rows[set] = row as u32 + 1;
-        if row >> self.chunk_shift == self.chunks.len() {
-            let chunk = vec![0; self.ways << self.chunk_shift];
-            self.chunks.push(chunk.into_boxed_slice());
-        }
         let (ways, sets, shift) = (self.ways as u64, self.sets as u64, self.shift);
+        if row >> self.chunk_shift == self.chunks.len() {
+            let mut chunk = spare_chunk();
+            chunk.reserve_exact(self.ways << self.chunk_shift);
+            self.chunks.push(chunk);
+        }
+        // Rows come in order, so this one goes at the end of the last
+        // chunk.
+        let chunk = self.chunks.last_mut().expect("a chunk holds the row");
+        chunk.resize(chunk.len() + self.ways, 0);
         let mut empty = true;
         for k in 0..self.warmed.len() {
             let (first, count) = self.warmed[k];
@@ -159,7 +211,8 @@ impl Cache {
                 continue;
             }
             let n = (count - first_off - 1) / sets + 1;
-            let tag = |j: u64| ((first + first_off + j * sets) >> shift) + 1;
+            // `warm` checked that the run's last line has a tag.
+            let tag = |j: u64| ((first + first_off + j * sets) >> shift) as u32 + 1;
             let slots = self.row_mut(row);
             if empty || n >= ways {
                 // Distinct clean lines filled into an empty row, or
@@ -223,7 +276,7 @@ impl Cache {
         let (set, tag, row) = self.locate(line);
         let dirty = if dirty { DIRTY } else { 0 };
         insert(row, tag, dirty).map(|old| {
-            let old_line = ((old & !DIRTY) - 1) << shift | set as u64;
+            let old_line = u64::from((old & !DIRTY) - 1) << shift | set as u64;
             (old_line, old & DIRTY != 0)
         })
     }
@@ -234,16 +287,51 @@ impl Cache {
     }
 }
 
+impl Drop for Cache {
+    /// Leaves the row chunks, emptied, to this thread's spare list while
+    /// it holds fewer than [`SPARE_SLOTS`] slots; the rest are freed.
+    fn drop(&mut self) {
+        // The list is gone once the thread's locals are destroyed, and a
+        // drop must not panic, so either case frees the chunks instead.
+        let _ = SPARE.try_with(|spare| {
+            let Ok(mut spare) = spare.try_borrow_mut() else {
+                return;
+            };
+            for mut chunk in self.chunks.drain(..) {
+                if spare.1 + chunk.capacity() <= SPARE_SLOTS {
+                    chunk.clear();
+                    spare.1 += chunk.capacity();
+                    spare.0.push(chunk);
+                }
+            }
+        });
+    }
+}
+
+/// An empty chunk from this thread's spare list, or a new one.
+fn spare_chunk() -> Vec<u32> {
+    SPARE
+        .try_with(|spare| {
+            let mut spare = spare.try_borrow_mut().ok()?;
+            let chunk = spare.0.pop()?;
+            spare.1 -= chunk.capacity();
+            Some(chunk)
+        })
+        .ok()
+        .flatten()
+        .unwrap_or_default()
+}
+
 /// Slot of `tag` in `row`, if present.
 #[inline]
-fn find(row: &[u64], tag: u64) -> Option<usize> {
+fn find(row: &[u32], tag: u32) -> Option<usize> {
     row.iter().position(|&s| s & !DIRTY == tag)
 }
 
 /// Moves slot `i` of `row` to the front as `slot`, shifting the more
 /// recent ones back by one.
 #[inline]
-fn to_front(row: &mut [u64], i: usize, slot: u64) {
+fn to_front(row: &mut [u32], i: usize, slot: u32) {
     row.copy_within(..i, 1);
     row[0] = slot;
 }
@@ -252,7 +340,7 @@ fn to_front(row: &mut [u64], i: usize, slot: u64) {
 /// ways: ORs `dirty` into it if present, else takes the first free slot
 /// or evicts the last one. Returns the evicted slot.
 #[inline]
-fn insert(row: &mut [u64], tag: u64, dirty: u64) -> Option<u64> {
+fn insert(row: &mut [u32], tag: u32, dirty: u32) -> Option<u32> {
     for i in 0..row.len() {
         let s = row[i];
         if s & !DIRTY == tag {

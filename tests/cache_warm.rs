@@ -387,3 +387,38 @@ fn warming_after_the_first_access_panics() {
     assert!(cache.probe(3));
     cache.warm(64, 64);
 }
+
+#[test]
+#[should_panic(
+    expected = "line 137438953408 has no tag in this cache: its lines must stay below 137438953408"
+)]
+fn a_fill_past_the_tag_range_panics() {
+    // 48 KiB, 12 ways: 64 sets.
+    let mut cache = Cache::new(48 * 1024, 12);
+    assert_eq!(line_limit(cache.sets()), 137_438_953_408);
+    assert_eq!(cache.fill(137_438_953_407, true), None);
+    cache.fill(137_438_953_408, false);
+}
+
+#[test]
+#[should_panic(
+    expected = "line 4294967294 has no tag in this cache: its lines must stay below 4294967294"
+)]
+fn a_probe_past_the_tag_range_panics() {
+    // 2 sets of 4 ways.
+    let mut cache = Cache::new(8 * 64, 4);
+    assert_eq!(line_limit(cache.sets()), 4_294_967_294);
+    assert!(!cache.probe(4_294_967_293));
+    cache.probe(4_294_967_294);
+}
+
+#[test]
+#[should_panic(
+    expected = "line 2147483647 has no tag in this cache: its lines must stay below 2147483647"
+)]
+fn a_warm_range_past_the_tag_range_panics() {
+    // One set: the range's last line is the first without a tag.
+    let mut cache = Cache::new(4 * 64, 4);
+    cache.warm(0, 2_147_483_647);
+    cache.warm(2_147_483_640, 8);
+}
