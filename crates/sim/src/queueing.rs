@@ -59,10 +59,13 @@ impl ServerPool {
     /// Submits a request arriving at `arrival` needing `service` time.
     /// Returns `(start, completion)`.
     pub fn submit(&mut self, arrival: SimTime, service: SimTime) -> (SimTime, SimTime) {
-        let Reverse(free) = self.free_at.pop().expect("pool always has servers");
-        let start = free.max(arrival);
+        // Equal free times cannot be told apart, so giving the earliest
+        // one its new time in place is exactly a pop and a push.
+        let mut earliest = self.free_at.peek_mut().expect("pool always has servers");
+        let start = earliest.0.max(arrival);
         let done = start + service;
-        self.free_at.push(Reverse(done));
+        earliest.0 = done;
+        drop(earliest);
         self.busy_accum += service as u128;
         self.last_observed = self.last_observed.max(done);
         if melody_telemetry::metrics_on() {
@@ -207,7 +210,38 @@ mod tests {
         assert!(queue_wait_estimate(0.8, 100.0, 8) < queue_wait_estimate(0.8, 100.0, 2));
     }
 
+    /// The earliest-free server taken off the heap and put back, as
+    /// `submit` did before it updated the heap in place.
+    struct PopPushPool(BinaryHeap<Reverse<SimTime>>);
+
+    impl PopPushPool {
+        fn submit(&mut self, arrival: SimTime, service: SimTime) -> (SimTime, SimTime) {
+            let Reverse(free) = self.0.pop().unwrap();
+            let start = free.max(arrival);
+            self.0.push(Reverse(start + service));
+            (start, start + service)
+        }
+    }
+
     proptest! {
+        #[test]
+        fn in_place_submit_matches_pop_and_push(
+            reqs in proptest::collection::vec((0u64..1000, 0u64..50), 1..200),
+            servers in 1usize..8,
+        ) {
+            let mut p = ServerPool::new(servers);
+            let mut reference = PopPushPool((0..servers).map(|_| Reverse(0)).collect());
+            for &(arrival, service) in &reqs {
+                prop_assert_eq!(p.submit(arrival, service), reference.submit(arrival, service));
+                prop_assert_eq!(p.next_free(), reference.0.peek().unwrap().0);
+            }
+            let mut free: Vec<_> = p.free_at.iter().map(|r| r.0).collect();
+            let mut expected: Vec<_> = reference.0.iter().map(|r| r.0).collect();
+            free.sort_unstable();
+            expected.sort_unstable();
+            prop_assert_eq!(free, expected);
+        }
+
         #[test]
         fn completions_after_arrivals(
             reqs in proptest::collection::vec((0u64..1000, 1u64..50), 1..100),
