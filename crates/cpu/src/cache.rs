@@ -9,7 +9,7 @@ const CHUNK_SHIFT: u32 = 8;
 const DIRTY: u32 = 1 << 31;
 
 /// Tags are `(line >> shift) + 1`, so `line >> shift` must stay below
-/// this for the tag to fit below [`DIRTY`].
+/// this for the tag to fit below `DIRTY`.
 const TAG_LIMIT: u64 = DIRTY as u64 - 1;
 
 /// Most slots the spare chunks of one thread hold (16 MiB).
@@ -288,11 +288,11 @@ impl Cache {
 }
 
 impl Drop for Cache {
-    /// Leaves the row chunks, emptied, to this thread's spare list while
-    /// it holds fewer than [`SPARE_SLOTS`] slots; the rest are freed.
+    /// Leaves the row chunks, emptied, to this thread's spare list, up to
+    /// `SPARE_SLOTS` slots in all; the rest are freed.
     fn drop(&mut self) {
-        // The list is gone once the thread's locals are destroyed, and a
-        // drop must not panic, so either case frees the chunks instead.
+        // A drop must not panic: if the list is gone (the thread's locals
+        // are being destroyed) or borrowed, the chunks are freed instead.
         let _ = SPARE.try_with(|spare| {
             let Ok(mut spare) = spare.try_borrow_mut() else {
                 return;
