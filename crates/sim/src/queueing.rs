@@ -210,8 +210,8 @@ mod tests {
         assert!(queue_wait_estimate(0.8, 100.0, 8) < queue_wait_estimate(0.8, 100.0, 2));
     }
 
-    /// The earliest-free server taken off the heap and put back, as
-    /// `submit` did before it updated the heap in place.
+    /// Reference pool: takes the earliest free time off the heap and
+    /// pushes the request's completion back.
     struct PopPushPool(BinaryHeap<Reverse<SimTime>>);
 
     impl PopPushPool {

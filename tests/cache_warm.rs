@@ -229,27 +229,10 @@ fn lazy_warming_matches_eager_fill() {
 
 /// Fixed (sets, ways) geometries: one set of every associativity from 1
 /// to 16, a 48 KiB L1d, a 2 MiB L2 and an 8 MiB LLC-like cache.
-const GEOMETRIES: [(usize, usize); 19] = [
-    (1, 1),
-    (1, 2),
-    (1, 3),
-    (1, 4),
-    (1, 5),
-    (1, 6),
-    (1, 7),
-    (1, 8),
-    (1, 9),
-    (1, 10),
-    (1, 11),
-    (1, 12),
-    (1, 13),
-    (1, 14),
-    (1, 15),
-    (1, 16),
-    (64, 12),
-    (2048, 16),
-    (8192, 16),
-];
+fn geometries() -> Vec<(usize, usize)> {
+    let large = [(64, 12), (2048, 16), (8192, 16)];
+    (1..=16).map(|ways| (1, ways)).chain(large).collect()
+}
 
 /// The first line whose tag does not fit a cache of `sets` sets: a slot
 /// keeps the tag `(line >> log2 sets) + 1` in 31 bits.
@@ -264,8 +247,9 @@ fn reused_storage_matches_a_fresh_cache() {
     // line of the highest tags, and dropped. A new cache of the same
     // geometry must still match a new eager one, whatever storage it
     // gets: no stale tag or dirty bit may show through.
+    let geometries = geometries();
     for case in 0..iters(38) {
-        let (sets, ways) = GEOMETRIES[case as usize % GEOMETRIES.len()];
+        let (sets, ways) = geometries[case as usize % geometries.len()];
         let capacity = sets * ways * 64;
         let lines = (sets * ways) as u64;
         let mut rng = SimRng::seed_from(0x5EC ^ case);
@@ -283,8 +267,9 @@ fn reused_storage_matches_a_fresh_cache() {
 #[test]
 fn high_tags_match_eager_fill() {
     // The same sequences with every line just below the tag limit.
+    let geometries = geometries();
     for case in 0..iters(38) {
-        let (sets, ways) = GEOMETRIES[case as usize % GEOMETRIES.len()];
+        let (sets, ways) = geometries[case as usize % geometries.len()];
         let capacity = sets * ways * 64;
         let base = line_limit(sets) - reach((sets * ways) as u64);
         let mut rng = SimRng::seed_from(0x7A6 ^ case);
