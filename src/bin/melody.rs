@@ -349,7 +349,7 @@ fn single_cell(
 
 /// The target device of a command that runs no workload: the first
 /// argument through [`single_cell`].
-fn target(cli: &Cli) -> DeviceSpec {
+fn target(cli: &Cli) -> Arc<DeviceSpec> {
     let spec = cli.spec(CampaignSpec::default());
     let draft = single_cell(cli, &spec, cli.pos.first(), None);
     draft.target.expect("the device axis is set")

@@ -26,7 +26,7 @@
 //! names the same cells and cache keys in every process.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use melody_cpu::{Fidelity, Platform, RunResult, SamplingParams};
 use melody_mem::faults::REGIMES;
@@ -169,11 +169,14 @@ impl Axis {
     /// adds no label.
     pub fn resolve(self, name: &str, spec: &CampaignSpec) -> Result<AxisValue, String> {
         let setting = match self {
-            Axis::Platform => platform_by_name(name).map(Setting::Platform),
-            Axis::Device => device_by_name(name).map(|d| Setting::Device(Box::new(d))),
+            Axis::Platform => platform_by_name(name).map(|p| {
+                let local = local_for_platform(&p);
+                Setting::Platform(Arc::new(p), Arc::new(local))
+            }),
+            Axis::Device => device_by_name(name).map(|d| Setting::Device(Arc::new(d))),
             Axis::Faults => FaultConfig::by_name(name).map(Setting::Faults),
             Axis::Policy => PolicyKind::parse(name).map(|p| Setting::Policy(TieringConfig::new(p))),
-            Axis::Workload => registry::by_name(name).map(Setting::Workload),
+            Axis::Workload => registry::by_name(name).map(|w| Setting::Workload(Arc::new(w))),
         };
         let setting = setting.ok_or_else(|| match self {
             Axis::Platform => {
@@ -252,14 +255,16 @@ pub struct AxisValue {
     setting: Setting,
 }
 
-/// What an axis value sets in a cell.
+/// What an axis value sets in a cell. Specs are resolved once per
+/// value and shared by every cell that takes it.
 #[derive(Debug, Clone)]
 enum Setting {
-    Platform(Platform),
-    Device(Box<DeviceSpec>),
+    /// A platform and its local DRAM.
+    Platform(Arc<Platform>, Arc<DeviceSpec>),
+    Device(Arc<DeviceSpec>),
     Faults(FaultConfig),
     Policy(TieringConfig),
-    Workload(WorkloadSpec),
+    Workload(Arc<WorkloadSpec>),
 }
 
 impl AxisValue {
@@ -272,34 +277,40 @@ impl AxisValue {
     }
 
     fn workload(w: WorkloadSpec) -> Self {
-        Self::new(Axis::Workload, w.name.clone(), Setting::Workload(w))
+        Self::new(
+            Axis::Workload,
+            w.name.clone(),
+            Setting::Workload(Arc::new(w)),
+        )
     }
 
     /// A topology's device-axis value: its validated fabric, lowered and
     /// labelled by its name.
     pub fn topology(t: TopologySpec) -> Result<Self, String> {
         let fabric = t.validate()?;
-        let setting = Setting::Device(Box::new(fabric.lower()));
+        let setting = Setting::Device(Arc::new(fabric.lower()));
         Ok(Self::new(Axis::Device, fabric.name().to_string(), setting))
     }
 
-    /// Sets this value in `draft`. A fault regime or policy changes the
-    /// target set before it; an inert one (`none`, `static`) leaves it
-    /// unchanged.
+    /// Sets this value in `draft`, sharing its specs. A fault regime or
+    /// policy changes the target set before it; an inert one (`none`,
+    /// `static`) keeps the target shared.
     pub fn apply(&self, draft: &mut Draft) {
         draft.labels[self.axis as usize] = self.label.clone();
         match &self.setting {
-            Setting::Platform(p) => draft.platform = Some((p.clone(), local_for_platform(p))),
-            Setting::Device(spec) => draft.target = Some(DeviceSpec::clone(spec)),
+            Setting::Platform(p, local) => draft.platform = Some((p.clone(), local.clone())),
+            Setting::Device(spec) => draft.target = Some(spec.clone()),
+            Setting::Faults(fc) if fc.is_inert() => {}
             Setting::Faults(fc) => {
-                draft.target = draft.target.take().map(|t| t.with_faults(fc.clone()));
+                let faulted = |t: &DeviceSpec| t.clone().with_faults(fc.clone());
+                draft.target = draft.target.as_deref().map(faulted).map(Arc::new);
             }
+            Setting::Policy(tc) if tc.policy == PolicyKind::Static => {}
             Setting::Policy(tc) => {
                 let (_, local) = draft.platform.as_ref().expect("the platform is set first");
-                draft.target = draft
-                    .target
-                    .take()
-                    .map(|t| t.with_tiering(tc.clone(), local.clone()));
+                let tiered =
+                    |t: &DeviceSpec| t.clone().with_tiering(tc.clone(), DeviceSpec::clone(local));
+                draft.target = draft.target.as_deref().map(tiered).map(Arc::new);
             }
             Setting::Workload(w) => draft.workload = Some(w.clone()),
         }
@@ -312,11 +323,11 @@ pub struct Draft {
     /// Each axis's label, in [`AXES`] order; empty until set.
     pub labels: [String; AXES.len()],
     /// The platform and its local-DRAM baseline.
-    pub platform: Option<(Platform, DeviceSpec)>,
+    pub platform: Option<(Arc<Platform>, Arc<DeviceSpec>)>,
     /// The target device, with every fault regime and policy so far.
-    pub target: Option<DeviceSpec>,
+    pub target: Option<Arc<DeviceSpec>>,
     /// The workload.
-    pub workload: Option<WorkloadSpec>,
+    pub workload: Option<Arc<WorkloadSpec>>,
 }
 
 impl Draft {
@@ -486,14 +497,14 @@ pub struct CampaignCell {
     pub key: String,
     /// Each axis's label, in [`AXES`] order; empty for `static`.
     pub labels: [String; AXES.len()],
-    /// Resolved platform.
-    pub platform: Platform,
-    /// Local-DRAM baseline for this platform.
-    pub local: DeviceSpec,
+    /// Resolved platform, shared with the other cells on it.
+    pub platform: Arc<Platform>,
+    /// Local-DRAM baseline for this platform, shared likewise.
+    pub local: Arc<DeviceSpec>,
     /// Target device (faults and policy applied).
-    pub target: DeviceSpec,
+    pub target: Arc<DeviceSpec>,
     /// Resolved workload.
-    pub workload: WorkloadSpec,
+    pub workload: Arc<WorkloadSpec>,
     /// Run options.
     pub opts: RunOptions,
 }
@@ -788,7 +799,8 @@ fn row_from(cell: &CampaignCell, o: &PairOutcome) -> CampaignRow {
 }
 
 /// Runs a campaign (or one shard of it): expands the spec, keeps the
-/// cells `shard` owns, and [`resolve`]s them into report rows. The
+/// cells `shard` owns, and [`resolve_with`]s them into report rows, so
+/// each cell's outcome is dropped as soon as its row is made. The
 /// returned [`CampaignRun`] pairs the byte-stable report with per-run
 /// resolution provenance ([`CampaignRunStats`]).
 pub fn run_campaign(
@@ -802,12 +814,8 @@ pub fn run_campaign(
     let cells = spec.expand()?;
     let total_cells = cells.len();
     let owned: Vec<CampaignCell> = cells.into_iter().filter(|c| shard.owns(c.index)).collect();
-    let resolved = resolve(&owned, journal, cache, policy);
-    let rows = owned
-        .iter()
-        .zip(&resolved.outcomes)
-        .filter_map(|(cell, o)| o.as_ref().map(|o| row_from(cell, o)))
-        .collect();
+    let resolved = resolve_with(&owned, journal, cache, policy, |cell, o| row_from(cell, &o));
+    let rows = resolved.outcomes.into_iter().flatten().collect();
     Ok(CampaignRun {
         report: CampaignReport {
             name: spec.name.clone(),
@@ -820,12 +828,12 @@ pub fn run_campaign(
     })
 }
 
-/// Cells as [`resolve`] returns them.
+/// Cells as [`resolve_with`] returns them: what it kept of each.
 #[derive(Debug)]
-pub struct Resolved {
-    /// One slot per cell, in the order given: its outcome, or `None`
-    /// when the cell failed or was cancelled.
-    pub outcomes: Vec<Option<PairOutcome>>,
+pub struct Resolved<T = PairOutcome> {
+    /// One slot per cell, in the order given: what was kept of its
+    /// outcome, or `None` when the cell failed or was cancelled.
+    pub outcomes: Vec<Option<T>>,
     /// Where each cell came from on this call.
     pub stats: CampaignRunStats,
     /// The failed cells, indexed by [`CampaignCell::index`].
@@ -835,7 +843,18 @@ pub struct Resolved {
     pub baselines: usize,
 }
 
-/// Resolves cells to their outcomes.
+/// Resolves cells to their outcomes: [`resolve_with`] keeping each
+/// outcome whole.
+pub fn resolve(
+    cells: &[CampaignCell],
+    journal: &mut Journal,
+    cache: Option<&ResultCache>,
+    policy: &CellPolicy,
+) -> Resolved {
+    resolve_with(cells, journal, cache, policy, |_, o| o)
+}
+
+/// Resolves cells, keeping `keep(cell, outcome)` of each.
 ///
 /// Resolution order per cell: the `journal` (same-run resume, keyed by
 /// the cell fingerprint), then `cache` (cross-run warm start), then
@@ -852,12 +871,17 @@ pub struct Resolved {
 /// no progress and is neither retried nor recorded. One that panics,
 /// times out or is skipped by cancellation leaves its cells to simulate
 /// it themselves under `policy`, so they fail as they would alone.
-pub fn resolve(
+///
+/// `keep` sees each cell's round-tripped outcome once: for a journal or
+/// cache hit as it is read, for a simulated cell on the worker that ran
+/// it. Only what it returns outlives the call.
+pub fn resolve_with<T: Send>(
     cells: &[CampaignCell],
     journal: &mut Journal,
     cache: Option<&ResultCache>,
     policy: &CellPolicy,
-) -> Resolved {
+    keep: impl Fn(&CampaignCell, PairOutcome) -> T + Sync,
+) -> Resolved<T> {
     let mut stats = CampaignRunStats {
         owned: cells.len(),
         ..Default::default()
@@ -867,7 +891,7 @@ pub fn resolve(
     }
 
     // Pass 1 (serial): resolve journal and cache hits.
-    let mut outcomes: Vec<Option<PairOutcome>> = Vec::with_capacity(cells.len());
+    let mut outcomes: Vec<Option<T>> = Vec::with_capacity(cells.len());
     let mut todo: Vec<&CampaignCell> = Vec::new();
     for cell in cells {
         let mut from_journal = false;
@@ -885,7 +909,7 @@ pub fn resolve(
         };
         match restored.and_then(|json| serde_json::from_str::<PairOutcome>(&json).ok()) {
             Some(o) => {
-                outcomes.push(Some(o));
+                outcomes.push(Some(keep(cell, o)));
                 if let Some(p) = &policy.progress {
                     p.tick(if from_journal {
                         crate::progress::Resolution::Journal
@@ -959,8 +983,7 @@ pub fn resolve(
         policy,
         |_, (cell, _)| cell.label(),
         |&(cell, b)| {
-            let o = cell.run_from(take(b));
-            let json = serde_json::to_string(&o).expect("outcome serializes");
+            let json = serde_json::to_string(&cell.run_from(take(b))).expect("outcome serializes");
             journal_mx
                 .lock()
                 .expect("journal lock")
@@ -970,7 +993,10 @@ pub fn resolve(
                 let _ = c.put(&cell.key, &json);
             }
             // Round-trip: fresh == restored, byte for byte.
-            serde_json::from_str::<PairOutcome>(&json).expect("outcome round-trips")
+            keep(
+                cell,
+                serde_json::from_str(&json).expect("outcome round-trips"),
+            )
         },
     );
 

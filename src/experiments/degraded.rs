@@ -11,7 +11,7 @@
 //! resumed with `--resume` reproduces the uninterrupted output
 //! byte-for-byte.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use melody_mem::{faults, DeviceSpec, RasCounters};
 use melody_workloads::mlc;
@@ -115,7 +115,7 @@ impl DegradedReport {
 
 /// One cell's device with its fault regime, resolved through the
 /// campaign grid's device and fault entries.
-fn faulted_device(device: &str, regime: &str) -> Result<DeviceSpec, String> {
+fn faulted_device(device: &str, regime: &str) -> Result<Arc<DeviceSpec>, String> {
     let mut draft = Draft::default();
     for (axis, name) in [(Axis::Device, device), (Axis::Faults, regime)] {
         axis.resolve(name, &CampaignSpec::default())?

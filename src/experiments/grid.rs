@@ -10,6 +10,8 @@
 //! caller-owned [`Journal`]: figures that share one journal simulate
 //! each distinct cell once.
 
+use std::sync::Arc;
+
 use melody_cpu::Platform;
 use melody_mem::{presets, DeviceSpec};
 use melody_spa::{accuracy, prefetch, AccuracyReport};
@@ -72,12 +74,13 @@ fn setup_cells(setups: &[Setup], workloads: &[WorkloadSpec], scale: Scale) -> Ve
         mem_refs: scale.mem_refs(),
         ..Default::default()
     };
+    let workloads: Vec<Arc<WorkloadSpec>> = workloads.iter().cloned().map(Arc::new).collect();
     let mut cells = Vec::with_capacity(setups.len() * workloads.len());
     for (label, platform, target) in setups {
-        let platform = platform();
-        let local = local_for_platform(&platform);
-        let target = target();
-        for w in workloads {
+        let platform = Arc::new(platform());
+        let local = Arc::new(local_for_platform(&platform));
+        let target = Arc::new(target());
+        for w in &workloads {
             let mut draft = Draft {
                 platform: Some((platform.clone(), local.clone())),
                 target: Some(target.clone()),

@@ -706,7 +706,7 @@ fn shared_baselines_resolve_as_each_cell_runs_alone() {
     assert_eq!(resolve_as_alone(&cells), 3 * 2 * 3);
     // One local spec on both platforms is still a baseline per platform.
     for cell in &mut cells {
-        cell.local = presets::local_emr();
+        cell.local = presets::local_emr().into();
     }
     assert_eq!(resolve_as_alone(&cells), 3 * 2 * 3);
 }
@@ -744,7 +744,7 @@ fn a_panicking_baseline_fails_each_cell_as_it_fails_alone() {
     assert!(broken.validate().is_err());
     let mut cells = shared_baseline_cells();
     for cell in cells.iter_mut().filter(|c| c.labels[0] == "emr2s") {
-        cell.local = DeviceSpec::Cxl(broken.clone());
+        cell.local = DeviceSpec::Cxl(broken.clone()).into();
     }
     let policy = CellPolicy {
         backoff: Duration::from_millis(1),
