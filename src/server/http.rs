@@ -141,6 +141,9 @@ pub fn is_body_too_large(err: &io::Error) -> bool {
 /// Reads bytes from `r` until the `\r\n\r\n` head terminator, returning
 /// `(head, body_prefix)` — any body bytes that arrived in the same
 /// segments are handed back so the caller can finish the body read.
+/// A read that a signal interrupts is retried, as `read_exact` retries
+/// it for the body: on a socket with a timeout, a handled signal (the
+/// server's SIGTERM drain) interrupts it even under `SA_RESTART`.
 fn read_head(r: &mut impl Read) -> io::Result<(String, Vec<u8>)> {
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 1024];
@@ -155,7 +158,10 @@ fn read_head(r: &mut impl Read) -> io::Result<(String, Vec<u8>)> {
         if buf.len() > MAX_HEAD_BYTES {
             return Err(invalid("header block exceeds 16 KiB"));
         }
-        let n = r.read(&mut chunk)?;
+        let n = match r.read(&mut chunk) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            read => read?,
+        };
         if n == 0 {
             return Err(invalid("connection closed before header terminator"));
         }
@@ -340,6 +346,53 @@ mod tests {
         assert_eq!(back.status, 429);
         assert_eq!(back.header("retry-after"), Some("2"));
         assert_eq!(back.body, b"{\"error\":\"busy\"}");
+    }
+
+    /// Hands out `data` in 5-byte chunks, each after one read that a
+    /// signal interrupts.
+    struct Interrupted<'a> {
+        data: &'a [u8],
+        interrupt: bool,
+    }
+
+    impl Read for Interrupted<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.interrupt = !self.interrupt;
+            if self.interrupt {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let n = buf.len().min(self.data.len()).min(5);
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    fn interrupted(data: &[u8]) -> Interrupted<'_> {
+        Interrupted {
+            data,
+            interrupt: false,
+        }
+    }
+
+    #[test]
+    fn interrupted_request_reads_are_retried() {
+        let raw = b"POST /v1/campaigns HTTP/1.1\r\nContent-Length: 7\r\n\r\n{\"a\":1}";
+        let req = read_request(&mut interrupted(raw), 1024).expect("request parses");
+        assert_eq!(req.path, "/v1/campaigns");
+        assert_eq!(req.body, b"{\"a\":1}");
+    }
+
+    #[test]
+    fn interrupted_response_reads_are_retried() {
+        for wire in [
+            &b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello"[..],
+            &b"HTTP/1.1 200 OK\r\n\r\nhello"[..],
+        ] {
+            let back = read_response(&mut interrupted(wire)).expect("response parses");
+            assert_eq!(back.status, 200);
+            assert_eq!(back.body, b"hello");
+        }
     }
 
     #[test]
